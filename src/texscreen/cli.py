@@ -14,6 +14,7 @@ randomness flows from --seed; no command reads a clock or the environment.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -68,16 +69,47 @@ exit codes:
 _COMPARATORS = {"gt": Comparator.STRICT_GREATER, "ge": Comparator.GREATER_EQUAL}
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+def _int_range(low: int, high: int | None = None):
+    """Argument type: an integer in [low, high), or at least low when high is None."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low or (high is not None and value >= high):
+            bounds = f"in [{low}, {high})" if high is not None else f">= {low}"
+            raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {text!r}")
+        return value
+
+    return parse
+
+
+_EVAL_SIZE = _int_range(3)  # LBP needs at least 3x3 pixels
+
+
 def _resolution_list(text: str) -> list[Resolution]:
     out = []
     for token in text.split(","):
         try:
-            w, h = token.lower().split("x")
-            out.append(Resolution(int(w), int(h)))
-        except ValueError:
+            w, h = (_EVAL_SIZE(v) for v in token.lower().split("x"))
+        except (ValueError, argparse.ArgumentTypeError):
             raise argparse.ArgumentTypeError(
-                f"bad resolution {token!r}, expected WIDTHxHEIGHT"
+                f"bad resolution {token!r}, expected WIDTHxHEIGHT of at least 3x3"
             ) from None
+        out.append(Resolution(w, h))
+    if len(set(out)) != len(out):
+        raise argparse.ArgumentTypeError(f"duplicate resolution in {text!r}")
     return out
 
 
@@ -103,12 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     solver_flags = argparse.ArgumentParser(add_help=False)
-    solver_flags.add_argument("--c", type=float, default=1.0, help="soft-margin penalty")
+    solver_flags.add_argument("--c", type=_positive_float, default=1.0, help="soft-margin penalty")
     solver_flags.add_argument(
-        "--max-iter", type=int, default=100, help="maximum full passes over the samples"
+        "--max-iter", type=_int_range(1), default=100, help="maximum full passes over the samples"
     )
     solver_flags.add_argument(
-        "--tol", type=float, default=1e-6, help="projected-gradient stopping tolerance"
+        "--tol", type=_positive_float, default=1e-6, help="projected-gradient stopping tolerance"
     )
 
     output_flags = argparse.ArgumentParser(add_help=False)
@@ -130,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument(
         "--kind", choices=[k.value for k in FeatureKind], default="lbp"
     )
-    p_extract.add_argument("--width", type=int, default=DEFAULT_RESOLUTION.width)
-    p_extract.add_argument("--height", type=int, default=DEFAULT_RESOLUTION.height)
+    p_extract.add_argument("--width", type=_int_range(1), default=DEFAULT_RESOLUTION.width)
+    p_extract.add_argument("--height", type=_int_range(1), default=DEFAULT_RESOLUTION.height)
     p_extract.add_argument("--out", help="output path (default: stdout)")
 
     p_loocv = sub.add_parser(
@@ -142,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_loocv.add_argument(
         "--kind", choices=[k.value for k in FeatureKind], default="lbp"
     )
-    p_loocv.add_argument("--width", type=int, default=DEFAULT_RESOLUTION.width)
-    p_loocv.add_argument("--height", type=int, default=DEFAULT_RESOLUTION.height)
+    p_loocv.add_argument("--width", type=_EVAL_SIZE, default=DEFAULT_RESOLUTION.width)
+    p_loocv.add_argument("--height", type=_EVAL_SIZE, default=DEFAULT_RESOLUTION.height)
 
     p_sweep = sub.add_parser(
         "sweep",
@@ -161,11 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
         "synth", help="generate the seeded synthetic benchmark into a directory"
     )
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.add_argument("--seed", type=int, default=1, help="64-bit generator seed")
-    p_synth.add_argument("--per-class", type=int, default=20, help="pairs to generate")
-    p_synth.add_argument("--width", type=int, default=64)
-    p_synth.add_argument("--height", type=int, default=48)
-    p_synth.add_argument("--smoothing-radius", type=int, default=2)
+    p_synth.add_argument(
+        "--seed", type=_int_range(0, 2**64), default=1, help="64-bit generator seed"
+    )
+    p_synth.add_argument("--per-class", type=_int_range(2), default=20, help="pairs to generate")
+    p_synth.add_argument("--width", type=_int_range(8), default=64)
+    p_synth.add_argument("--height", type=_int_range(8), default=48)
+    p_synth.add_argument("--smoothing-radius", type=_int_range(0), default=2)
 
     return parser
 

@@ -118,7 +118,14 @@ class SplitMix64:
 
 def load_manifest(data: bytes | str) -> Manifest:
     """Parse manifest text, reporting defects with their line number."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ManifestError(f"invalid UTF-8 at byte {exc.start}", line) from None
+    else:
+        text = data
     lines = text.splitlines()
     if not lines:
         raise ManifestError("missing header", 1)

@@ -26,7 +26,7 @@ from .classifier import (
     predict,
     train_csvc,
 )
-from .features import Comparator, FeatureKind, extract_feature
+from .features import Comparator, FeatureKind, FeatureVector, concat, extract_feature
 from .imagecore import GrayImage, Resolution, resize_bilinear
 
 # 4:3 sweep grid from 50x37 up to the default working resolution 300x225
@@ -191,6 +191,70 @@ def build_report(folds: Sequence[FoldResult], kind: FeatureKind) -> EvalReport:
     )
 
 
+def _feature_tables(
+    data: LabeledDataset,
+    kinds: Sequence[FeatureKind],
+    target: Resolution,
+    cmp: Comparator,
+) -> dict[FeatureKind, tuple[list[FeatureVector], np.ndarray]]:
+    """Per requested kind, every entry's feature vector and their (n, d) stack.
+
+    Each image is resized once and histogrammed once per base kind; CONCAT
+    joins the LBP and GRAY vectors instead of extracting again.
+    """
+    if target.width < 3 or target.height < 3:
+        raise ValueError("evaluation resolutions must be at least 3x3")
+    base: dict[FeatureKind, list[FeatureVector]] = {
+        kind: []
+        for kind in (FeatureKind.LBP, FeatureKind.GRAY)
+        if kind in kinds or FeatureKind.CONCAT in kinds
+    }
+    for entry in data.entries:
+        resized = resize_bilinear(entry.image, target)
+        for kind, vectors in base.items():
+            vectors.append(extract_feature(resized, kind, cmp))
+    tables = {}
+    for kind in kinds:
+        if kind is FeatureKind.CONCAT:
+            vectors = list(map(concat, base[FeatureKind.LBP], base[FeatureKind.GRAY]))
+        else:
+            vectors = base[kind]
+        tables[kind] = (vectors, np.stack([fv.values for fv in vectors]))
+    return tables
+
+
+def _folds_from_table(
+    data: LabeledDataset,
+    kind: FeatureKind,
+    vectors: Sequence[FeatureVector],
+    features: np.ndarray,
+    cfg: SolverConfig | None,
+) -> tuple[FoldResult, ...]:
+    """Hold out each row of a prebuilt feature matrix in turn."""
+    labels = np.array([e.label for e in data.entries])
+    keep = np.ones(len(data), dtype=bool)
+    folds = []
+    for i, entry in enumerate(data.entries):
+        keep[i] = False
+        try:
+            training = TrainingSet(features[keep], labels[keep], kind)
+        except ValueError as exc:
+            raise ValueError(
+                f"fold holding out {entry.sample_id!r} is untrainable: {exc}"
+            ) from None
+        keep[i] = True
+        model = train_csvc(training, cfg)
+        folds.append(
+            FoldResult(
+                held_out_id=entry.sample_id,
+                true_label=entry.label,
+                predicted_label=predict(model, vectors[i]),
+                decision=decision_value(model, vectors[i]),
+            )
+        )
+    return tuple(folds)
+
+
 def loocv_folds(
     data: LabeledDataset,
     kind: FeatureKind,
@@ -204,34 +268,9 @@ def loocv_folds(
     resolution is a parameter of the experiment, not of the dataset.
     Features are pure functions of each image and are computed once.
     """
-    if target.width < 3 or target.height < 3:
-        raise ValueError("evaluation resolutions must be at least 3x3")
     kind = FeatureKind(kind)
-    cfg = cfg if cfg is not None else SolverConfig()
-    vectors = [
-        extract_feature(resize_bilinear(e.image, target), kind, cmp) for e in data.entries
-    ]
-    folds = []
-    for i, entry in enumerate(data.entries):
-        samples = [
-            (vectors[j], e.label) for j, e in enumerate(data.entries) if j != i
-        ]
-        try:
-            training = TrainingSet.from_samples(samples)
-        except ValueError as exc:
-            raise ValueError(
-                f"fold holding out {entry.sample_id!r} is untrainable: {exc}"
-            ) from None
-        model = train_csvc(training, cfg)
-        folds.append(
-            FoldResult(
-                held_out_id=entry.sample_id,
-                true_label=entry.label,
-                predicted_label=predict(model, vectors[i]),
-                decision=decision_value(model, vectors[i]),
-            )
-        )
-    return tuple(folds)
+    vectors, features = _feature_tables(data, (kind,), target, cmp)[kind]
+    return _folds_from_table(data, kind, vectors, features, cfg)
 
 
 def loocv(
@@ -251,24 +290,30 @@ def resolution_sweep(
     cmp: Comparator = Comparator.STRICT_GREATER,
     cfg: SolverConfig | None = None,
 ) -> SweepReport:
-    """Leave-one-out accuracy of all three feature kinds per resolution."""
+    """Leave-one-out accuracy of all three feature kinds per resolution.
+
+    Each (resolution, image) pair is resized and histogrammed once; the
+    three kinds' folds slice the same per-resolution feature table.
+    """
     if not resolutions:
         raise ValueError("at least one resolution is required")
     if len(set(resolutions)) != len(resolutions):
         raise ValueError("duplicate resolutions are not allowed")
+    kinds = (FeatureKind.LBP, FeatureKind.GRAY, FeatureKind.CONCAT)
     rows = []
     for res in resolutions:
-        per_kind = {
-            kind: loocv(data, kind, res, cmp, cfg)
-            for kind in (FeatureKind.LBP, FeatureKind.GRAY, FeatureKind.CONCAT)
+        tables = _feature_tables(data, kinds, res, cmp)
+        correct = {
+            kind: build_report(_folds_from_table(data, kind, *tables[kind], cfg), kind).correct
+            for kind in kinds
         }
         rows.append(
             SweepRow(
                 resolution=res,
-                n=per_kind[FeatureKind.LBP].n,
-                lbp_correct=per_kind[FeatureKind.LBP].correct,
-                gray_correct=per_kind[FeatureKind.GRAY].correct,
-                concat_correct=per_kind[FeatureKind.CONCAT].correct,
+                n=len(data),
+                lbp_correct=correct[FeatureKind.LBP],
+                gray_correct=correct[FeatureKind.GRAY],
+                concat_correct=correct[FeatureKind.CONCAT],
             )
         )
     return SweepReport(tuple(rows))

@@ -148,6 +148,13 @@ def decode_image(data: bytes) -> GrayImage | RgbImage:
 
     count = width * height * channels
     if ascii_payload:
+        # every value takes at least one byte, so the remaining data bounds
+        # the allocation
+        if len(data) - pos < count:
+            raise PnmDecodeError(
+                f"truncated payload: expected {count} values, found {len(data) - pos} bytes",
+                len(data),
+            )
         values = np.empty(count, dtype=np.uint8)
         for k in range(count):
             v, v_at, pos = _read_int(data, pos, "pixel value")
@@ -215,9 +222,9 @@ def resize_bilinear(img: GrayImage, target: Resolution) -> GrayImage:
     x1 = np.minimum(x0 + 1, w_src - 1)
     y1 = np.minimum(y0 + 1, h_src - 1)
 
-    top = src[np.ix_(y0, x0)] * (1.0 - fx) + src[np.ix_(y0, x1)] * fx
-    bottom = src[np.ix_(y1, x0)] * (1.0 - fx) + src[np.ix_(y1, x1)] * fx
-    values = top * (1.0 - fy[:, None]) + bottom * fy[:, None]
+    # separable: interpolate along x once per source row, then blend rows
+    rows = src[:, x0] * (1.0 - fx) + src[:, x1] * fx
+    values = rows[y0] * (1.0 - fy[:, None]) + rows[y1] * fy[:, None]
 
     out = np.floor(values + 0.5)
     np.clip(out, 0.0, 255.0, out=out)

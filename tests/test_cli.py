@@ -4,7 +4,14 @@ import sys
 
 import pytest
 
-from texscreen.cli import EXIT_INVALID_DATA, EXIT_OK, EXIT_PROCESSING, EXIT_UNREADABLE, main
+from texscreen.cli import (
+    EXIT_INVALID_DATA,
+    EXIT_OK,
+    EXIT_PROCESSING,
+    EXIT_UNREADABLE,
+    EXIT_USAGE,
+    main,
+)
 from texscreen.features import parse_feature
 
 
@@ -260,6 +267,39 @@ class TestFailurePaths:
         with pytest.raises(SystemExit) as err:
             main(["sweep", "--manifest", "x.csv", "--resolutions", "50by37"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["loocv", "--manifest", "x.csv", "--c", "-1"],
+            ["loocv", "--manifest", "x.csv", "--c", "nan"],
+            ["loocv", "--manifest", "x.csv", "--tol", "0"],
+            ["sweep", "--manifest", "x.csv", "--max-iter", "0"],
+            ["loocv", "--manifest", "x.csv", "--width", "2", "--height", "2"],
+            ["sweep", "--manifest", "x.csv", "--resolutions", "50x37,2x2"],
+            ["sweep", "--manifest", "x.csv", "--resolutions", "50x37,50X37"],
+            ["extract", "--manifest", "x.csv", "--width", "0"],
+            ["synth", "--out", "unused", "--seed", "-1"],
+            ["synth", "--out", "unused", "--seed", str(2**64)],
+            ["synth", "--out", "unused", "--per-class", "1"],
+            ["synth", "--out", "unused", "--width", "7"],
+        ],
+        ids=lambda argv: " ".join(argv[2:]),
+    )
+    def test_invalid_flag_values_exit_usage(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_USAGE
+        assert "error: argument" in capsys.readouterr().err
+        assert not (tmp_path / "unused").exists()
+
+    def test_non_utf8_manifest_exits_invalid_data(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(b"id,path,label,group\na,\xe9t\xe9.pgm,normal,1\n")
+        code = main(["loocv", "--manifest", str(manifest)])
+        assert code == EXIT_INVALID_DATA
+        assert "UTF-8" in capsys.readouterr().err
 
 
 class TestInstalledEntryPoint:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FROZEN_SPEC
 from texscreen.dataset import (
@@ -83,6 +85,25 @@ class TestLoadManifest:
     def test_roundtrip_identity(self):
         manifest = _table_shaped_manifest()
         assert load_manifest(serialize_manifest(manifest)) == manifest
+
+    def test_non_utf8_bytes_name_line(self):
+        with pytest.raises(ManifestError, match="UTF-8") as err:
+            load_manifest(b"id,path,label,group\na,x.pgm,normal,1\nb,\xff.pgm,normal,1\n")
+        assert err.value.line == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(),
+            st.text().map(lambda t: "id,path,label,group\n" + t),
+            st.binary().map(lambda b: b"id,path,label,group\n" + b),
+        )
+    )
+    def test_arbitrary_input_raises_only_manifest_errors(self, data):
+        try:
+            load_manifest(data)
+        except ManifestError:
+            pass
 
 
 class TestFilterGroup:

@@ -4,6 +4,7 @@ import pytest
 from texscreen.classifier import SolverConfig, TrainingSet, predict, train_csvc
 from texscreen.evaluation import (
     DEFAULT_SWEEP_RESOLUTIONS,
+    _feature_tables,
     DatasetEntry,
     FoldResult,
     LabeledDataset,
@@ -17,7 +18,7 @@ from texscreen.evaluation import (
     sweep_to_json,
     sweep_to_table,
 )
-from texscreen.features import FeatureKind, extract_feature
+from texscreen.features import FEATURE_LENGTHS, Comparator, FeatureKind, extract_feature
 from texscreen.imagecore import GrayImage, Resolution, resize_bilinear
 
 
@@ -164,6 +165,37 @@ class TestLoocv:
             ) / len(labels)
             cv = loocv(dataset, kind, target).global_accuracy
             assert resub >= cv
+
+
+class TestFeatureTable:
+    KINDS = (FeatureKind.LBP, FeatureKind.GRAY, FeatureKind.CONCAT)
+
+    @pytest.mark.parametrize("target", [Resolution(50, 37), Resolution(7, 11)])
+    def test_rows_equal_unfused_extraction(self, synthetic_benchmark, target):
+        _, _, dataset = synthetic_benchmark
+        tables = _feature_tables(dataset, self.KINDS, target, Comparator.STRICT_GREATER)
+        for kind in self.KINDS:
+            vectors, matrix = tables[kind]
+            assert matrix.shape == (len(dataset), FEATURE_LENGTHS[kind])
+            for row, fv, entry in zip(matrix, vectors, dataset.entries):
+                expected = extract_feature(resize_bilinear(entry.image, target), kind)
+                assert fv.kind is kind
+                assert np.array_equal(fv.values, expected.values)
+                assert np.array_equal(row, expected.values)
+
+    def test_only_requested_kinds(self):
+        tables = _feature_tables(
+            _tiny_dataset(), (FeatureKind.CONCAT,), Resolution(8, 8), Comparator.GREATER_EQUAL
+        )
+        assert list(tables) == [FeatureKind.CONCAT]
+
+    def test_sweep_row_matches_per_kind_loocv(self, synthetic_benchmark):
+        _, _, dataset = synthetic_benchmark
+        target = Resolution(50, 37)
+        row = resolution_sweep(dataset, [target]).rows[0]
+        assert (row.lbp_correct, row.gray_correct, row.concat_correct) == tuple(
+            loocv(dataset, kind, target).correct for kind in self.KINDS
+        )
 
 
 class TestSweep:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from texscreen.imagecore import (
     GrayImage,
@@ -89,6 +91,34 @@ class TestDecode:
             decode_image(data)
         assert err.value.offset == len(data)
 
+    @pytest.mark.parametrize(
+        "data",
+        [b"P2 1000000 1000000 255\n1 2 3", b"P2 4000000000 4000000000 255\n1", b"P3 9 9 255\n"],
+    )
+    def test_ascii_dimensions_bounded_by_data_length(self, data):
+        with pytest.raises(PnmDecodeError, match="truncated") as err:
+            decode_image(data)
+        assert err.value.offset == len(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.binary(max_size=64),
+            st.builds(
+                lambda magic, dims, tail: magic + b" ".join(b"%d" % d for d in dims) + tail,
+                st.sampled_from([b"P2 ", b"P3 ", b"P5 ", b"P6 ", b"P2\n#c\n"]),
+                st.lists(st.integers(0, 2**64), min_size=0, max_size=3)
+                .map(lambda dims: dims + [255]),
+                st.binary(max_size=32),
+            ),
+        )
+    )
+    def test_arbitrary_bytes_raise_only_decode_errors(self, data):
+        try:
+            decode_image(data)
+        except PnmDecodeError:
+            pass
+
 
 class TestEncode:
     def test_single_pixel(self):
@@ -138,7 +168,47 @@ class TestGrayscale:
         assert gray.pixels.min() >= 0 and gray.pixels.max() <= 255
 
 
+def _resize_four_gathers(img, target):
+    """Reference bilinear resize: four 2-D gathers, blended along x then y."""
+    src = img.pixels.astype(np.float64)
+    h_src, w_src = src.shape
+    sx = ((np.arange(target.width) + 0.5) * w_src) / target.width - 0.5
+    sy = ((np.arange(target.height) + 0.5) * h_src) / target.height - 0.5
+    np.clip(sx, 0.0, w_src - 1.0, out=sx)
+    np.clip(sy, 0.0, h_src - 1.0, out=sy)
+    x0 = np.floor(sx).astype(np.intp)
+    y0 = np.floor(sy).astype(np.intp)
+    fx = sx - x0
+    fy = sy - y0
+    x1 = np.minimum(x0 + 1, w_src - 1)
+    y1 = np.minimum(y0 + 1, h_src - 1)
+    top = src[np.ix_(y0, x0)] * (1.0 - fx) + src[np.ix_(y0, x1)] * fx
+    bottom = src[np.ix_(y1, x0)] * (1.0 - fx) + src[np.ix_(y1, x1)] * fx
+    values = top * (1.0 - fy[:, None]) + bottom * fy[:, None]
+    out = np.floor(values + 0.5)
+    np.clip(out, 0.0, 255.0, out=out)
+    return out.astype(np.uint8)
+
+
 class TestResize:
+    def test_matches_four_gather_reference_exactly(self):
+        rng = np.random.default_rng(23)
+        shapes = [(1, 1), (1, 7), (9, 1)] + [tuple(rng.integers(1, 60, size=2)) for _ in range(150)]
+        for h, w in shapes:
+            img = GrayImage(rng.integers(0, 256, size=(int(h), int(w))))
+            for th, tw in (
+                (1, 1),
+                (1, int(rng.integers(1, 90))),
+                (int(rng.integers(1, 90)), 1),
+                tuple(int(v) for v in rng.integers(1, 90, size=2)),
+                (int(h) * 3 + 1, int(w) * 2 + 5),  # up-scaling
+                (max(int(h) // 3, 1), max(int(w) // 2, 1)),  # down-scaling
+            ):
+                target = Resolution(tw, th)
+                assert np.array_equal(
+                    resize_bilinear(img, target).pixels, _resize_four_gathers(img, target)
+                ), (h, w, target)
+
     def test_identity_at_source_resolution(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

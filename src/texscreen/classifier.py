@@ -16,7 +16,6 @@ feasible when no free support vector exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -62,19 +61,6 @@ class TrainingSet:
         self.labels = y.astype(np.int64)
         self.kind = FeatureKind(self.kind)
 
-    @classmethod
-    def from_samples(cls, samples: Sequence[tuple[FeatureVector, int]]) -> "TrainingSet":
-        if not samples:
-            raise ValueError("training set must not be empty")
-        kind = samples[0][0].kind
-        dim = samples[0][0].values.shape[0]
-        for fv, _ in samples:
-            if fv.kind is not kind or fv.values.shape[0] != dim:
-                raise ValueError("all samples must share one feature kind and length")
-        x = np.stack([fv.values for fv, _ in samples])
-        y = np.array([label for _, label in samples])
-        return cls(x, y, kind)
-
     @property
     def dimension(self) -> int:
         return self.features.shape[1]
@@ -85,6 +71,8 @@ class LinearModel:
     weights: np.ndarray
     bias: float
     kind: FeatureKind
+    # the solver met its tolerance before the pass cap; not serialized
+    converged: bool = True
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -205,7 +193,7 @@ def train_csvc(data: TrainingSet, cfg: SolverConfig | None = None) -> LinearMode
     bias = _bias_from_margins(
         data.features, data.labels, solution.alpha, solution.weights, cfg.c
     )
-    return LinearModel(solution.weights, bias, data.kind)
+    return LinearModel(solution.weights, bias, data.kind, solution.converged)
 
 
 def decision_value(model: LinearModel, x: FeatureVector) -> float:

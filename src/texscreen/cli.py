@@ -250,6 +250,15 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(c=args.c, max_outer_iterations=args.max_iter, tolerance=args.tol)
 
 
+def _warn_pass_cap(unconverged: int, folds: int, max_iter: int) -> None:
+    if unconverged:
+        print(
+            f"texscreen: warning: {unconverged} of {folds} folds stopped at the pass cap "
+            f"(--max-iter {max_iter})",
+            file=sys.stderr,
+        )
+
+
 def _cmd_loocv(args: argparse.Namespace) -> int:
     manifest, base_dir = _read_manifest(args.manifest, args.group)
     dataset = _load_dataset(manifest, base_dir)
@@ -265,6 +274,7 @@ def _cmd_loocv(args: argparse.Namespace) -> int:
     else:
         text = report_to_table(report, args.decimal_comma)
     _write_text(args.out, text)
+    _warn_pass_cap(report.unconverged, report.n, args.max_iter)
     return EXIT_OK
 
 
@@ -280,6 +290,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         text = sweep_to_table(report)
     _write_text(args.out, text)
+    _warn_pass_cap(
+        sum(row.unconverged for row in report.rows),
+        3 * sum(row.n for row in report.rows),  # one fold per entry and kind
+        args.max_iter,
+    )
     return EXIT_OK
 
 
@@ -311,6 +326,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "extract" and args.kind != FeatureKind.GRAY.value:
+        if args.width < 3 or args.height < 3:
+            parser.error(f"--kind {args.kind} needs --width and --height of at least 3")
     try:
         return _COMMANDS[args.command](args)
     except OSError as exc:

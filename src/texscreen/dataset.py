@@ -9,6 +9,11 @@ whose pixels are the identical multiset randomly permuted in position. The
 twins share their gray-level histogram exactly while the blur-induced
 spatial structure is destroyed, so texture codes separate the classes and
 intensity histograms cannot.
+
+All randomness comes from one SplitMix64 stream. Its state after k draws is
+seed + k*gamma mod 2^64 (Steele, Lea & Flood 2014), so the generator draws
+whole blocks of outputs at once in numpy uint64 and its images are the same
+bytes a one-draw-at-a-time loop would produce.
 """
 
 from __future__ import annotations
@@ -87,33 +92,39 @@ class SyntheticSpec:
             raise ValueError("smoothing_radius must be non-negative")
 
 
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
+# Fisher-Yates indices are drawn this many at a time, so the shuffle's
+# scratch memory stays fixed whatever the image size.
+_SHUFFLE_BLOCK = 8192
+
+
 class SplitMix64:
-    """Deterministic 64-bit generator.
+    """Deterministic 64-bit generator, drawn in blocks.
 
     State update: s <- (s + 0x9E3779B97F4A7C15) mod 2^64. Output: z = s,
     z ^= z >> 30, z *= 0xBF58476D1CE4E5B9, z ^= z >> 27,
-    z *= 0x94D049BB133111EB, z ^= z >> 31 (all mod 2^64). Pixel bytes take
-    the top 8 bits of an output; bounded draws reduce an output modulo the
-    bound.
+    z *= 0x94D049BB133111EB, z ^= z >> 31 (all mod 2^64). After k draws
+    the state is seed + k*gamma mod 2^64, so a block of outputs is computed
+    at once in numpy uint64 (which wraps mod 2^64) and equals the scalar
+    stream exactly.
     """
 
-    _MASK = (1 << 64) - 1
-
     def __init__(self, seed: int):
-        self.state = seed & self._MASK
+        self.state = seed & _MASK
 
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & self._MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
-        return z ^ (z >> 31)
-
-    def next_byte(self) -> int:
-        return self.next_u64() >> 56
-
-    def next_below(self, bound: int) -> int:
-        return self.next_u64() % bound
+    def next_block(self, count: int) -> np.ndarray:
+        """The next `count` outputs as a uint64 array; advances the state."""
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self.state)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        self.state = (self.state + count * _GAMMA) & _MASK
+        return z
 
 
 def load_manifest(data: bytes | str) -> Manifest:
@@ -201,26 +212,29 @@ def _box_blur(pixels: np.ndarray, radius: int) -> np.ndarray:
 def generate_synthetic(spec: SyntheticSpec) -> tuple[list[GrayImage], Manifest]:
     """Build the paired synthetic benchmark; same spec, same bytes.
 
-    The stream is consumed in a fixed order per pair k: height*width pixel
-    bytes row-major for the noise field, then the Fisher-Yates draws that
-    permute the blurred result into the adulterated twin. Pairs alternate
-    between groups 1 and 2. Twin gray-level histograms are verified equal
-    before returning.
+    The stream is consumed in a fixed order per pair k: height*width outputs
+    whose top bytes are the noise field, row-major, then n-1 Fisher-Yates
+    draws, the one for i = n-1 .. 1 reduced modulo i+1, that permute the
+    blurred result into the adulterated twin. Pairs alternate between
+    groups 1 and 2. Twin gray-level histograms are verified equal before
+    returning.
     """
     rng = SplitMix64(spec.seed)
     images: list[GrayImage] = []
     entries: list[ManifestEntry] = []
     n = spec.width * spec.height
     for k in range(spec.per_class):
-        raw = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            raw[i] = rng.next_byte()
+        raw = (rng.next_block(n) >> np.uint64(56)).astype(np.uint8)
         normal_pixels = _box_blur(raw.reshape(spec.height, spec.width), spec.smoothing_radius)
 
         shuffled = normal_pixels.ravel().copy()
-        for i in range(n - 1, 0, -1):
-            j = rng.next_below(i + 1)
-            shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+        cells = memoryview(shuffled)
+        for top in range(n - 1, 0, -_SHUFFLE_BLOCK):
+            low = max(top - _SHUFFLE_BLOCK, 0)  # this block swaps i = top .. low+1
+            bounds = np.arange(top + 1, low + 1, -1, dtype=np.uint64)
+            js = (rng.next_block(top - low) % bounds).tolist()
+            for i, j in zip(range(top, low, -1), js):
+                cells[i], cells[j] = cells[j], cells[i]
         adulterated_pixels = shuffled.reshape(spec.height, spec.width)
 
         if not np.array_equal(

@@ -92,6 +92,7 @@ class FoldResult:
     true_label: int
     predicted_label: int
     decision: float
+    converged: bool = True  # the fold's solver met its tolerance
 
 
 @dataclass(eq=False)
@@ -99,7 +100,8 @@ class EvalReport:
     """Aggregate of one leave-one-out run.
 
     `confusion` rows are true classes in order (normal, adulterated),
-    columns the predicted classes in the same order.
+    columns the predicted classes in the same order. `unconverged` counts
+    folds whose solver stopped at the pass cap; reports do not render it.
     """
 
     feature_kind: FeatureKind
@@ -107,6 +109,7 @@ class EvalReport:
     correct: int
     confusion: np.ndarray
     misclassified_ids: tuple[str, ...]
+    unconverged: int
 
     @property
     def global_accuracy(self) -> float:
@@ -138,6 +141,7 @@ class SweepRow:
     lbp_correct: int
     gray_correct: int
     concat_correct: int
+    unconverged: int  # over the row's folds of all three kinds; not rendered
 
     @property
     def acc_lbp(self) -> float:
@@ -188,6 +192,7 @@ def build_report(folds: Sequence[FoldResult], kind: FeatureKind) -> EvalReport:
         correct=int(np.trace(confusion)),
         confusion=confusion,
         misclassified_ids=tuple(misclassified),
+        unconverged=sum(not fold.converged for fold in folds),
     )
 
 
@@ -250,6 +255,7 @@ def _folds_from_table(
                 true_label=entry.label,
                 predicted_label=predict(model, vectors[i]),
                 decision=decision_value(model, vectors[i]),
+                converged=model.converged,
             )
         )
     return tuple(folds)
@@ -303,17 +309,18 @@ def resolution_sweep(
     rows = []
     for res in resolutions:
         tables = _feature_tables(data, kinds, res, cmp)
-        correct = {
-            kind: build_report(_folds_from_table(data, kind, *tables[kind], cfg), kind).correct
+        reports = {
+            kind: build_report(_folds_from_table(data, kind, *tables[kind], cfg), kind)
             for kind in kinds
         }
         rows.append(
             SweepRow(
                 resolution=res,
                 n=len(data),
-                lbp_correct=correct[FeatureKind.LBP],
-                gray_correct=correct[FeatureKind.GRAY],
-                concat_correct=correct[FeatureKind.CONCAT],
+                lbp_correct=reports[FeatureKind.LBP].correct,
+                gray_correct=reports[FeatureKind.GRAY].correct,
+                concat_correct=reports[FeatureKind.CONCAT].correct,
+                unconverged=sum(r.unconverged for r in reports.values()),
             )
         )
     return SweepReport(tuple(rows))

@@ -157,13 +157,6 @@ def normalize_l1(hist: Histogram256, kind: FeatureKind) -> FeatureVector:
     return FeatureVector(kind, hist.bins / total)
 
 
-def raw_counts(hist: Histogram256, kind: FeatureKind) -> FeatureVector:
-    """Unnormalized alternative to normalize_l1: the counts themselves."""
-    if kind not in (FeatureKind.LBP, FeatureKind.GRAY):
-        raise ValueError("raw_counts produces LBP or GRAY features only")
-    return FeatureVector(kind, hist.bins.astype(np.float64))
-
-
 def concat(lbp: FeatureVector, gray: FeatureVector) -> FeatureVector:
     """Juxtapose an LBP block (indices 0-255) and a GRAY block (256-511).
 

@@ -62,17 +62,18 @@ class TestTrainCsvc:
             _training_set([[0.0], [1.0]], [1, 1])
 
     def test_dimension_mismatch_rejected(self):
-        a = FeatureVector(FeatureKind.LBP, np.full(256, 1 / 256))
-        b = FeatureVector(FeatureKind.GRAY, np.full(256, 1 / 256))
-        with pytest.raises(ValueError):
-            TrainingSet.from_samples([(a, 1), (b, -1)])
+        x = np.full((2, 256), 1 / 256)
+        with pytest.raises(ValueError, match="labels"):
+            TrainingSet(x, [1, -1, 1], FeatureKind.LBP)
+        with pytest.raises(ValueError, match="matrix"):
+            TrainingSet(x.ravel(), [1, -1], FeatureKind.LBP)
 
-    def test_from_samples_builds_matrix(self):
+    def test_stacked_vectors_build_matrix(self):
         a = FeatureVector(FeatureKind.LBP, np.full(256, 1 / 256))
         bins = np.zeros(256)
         bins[7] = 1.0
         b = FeatureVector(FeatureKind.LBP, bins)
-        ts = TrainingSet.from_samples([(a, -1), (b, 1)])
+        ts = TrainingSet(np.stack([a.values, b.values]), [-1, 1], FeatureKind.LBP)
         assert ts.dimension == 256
         assert ts.labels.tolist() == [-1, 1]
 

@@ -302,6 +302,65 @@ class TestFailurePaths:
         assert "UTF-8" in capsys.readouterr().err
 
 
+class TestExtractSizeFloor:
+    @pytest.mark.parametrize("kind", ["lbp", "concat"])
+    @pytest.mark.parametrize("size", [["--width", "2"], ["--height", "2"]], ids=["w", "h"])
+    def test_texture_kinds_below_3x3_exit_usage(self, kind, size, tmp_path, capsys):
+        out = tmp_path / "features.txt"
+        with pytest.raises(SystemExit) as err:
+            main(["extract", "--manifest", "x.csv", "--kind", kind, *size, "--out", str(out)])
+        assert err.value.code == EXIT_USAGE
+        assert f"--kind {kind} needs --width and --height of at least 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gray_accepts_one_pixel(self, tmp_path):
+        bench = _synth(tmp_path)
+        out = tmp_path / "features.txt"
+        code = main(
+            [
+                "extract",
+                "--manifest",
+                str(bench / "manifest.csv"),
+                "--kind",
+                "gray",
+                "--width",
+                "1",
+                "--height",
+                "1",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        assert len(out.read_text().splitlines()) == 6
+
+
+class TestPassCapWarning:
+    def _run(self, tmp_path, capsys, argv):
+        bench = _synth(tmp_path)
+        capsys.readouterr()
+        manifest = str(bench / "manifest.csv")
+        code = main([argv[0], "--manifest", manifest, *argv[1:], "--out", str(tmp_path / "r")])
+        assert code == EXIT_OK
+        return capsys.readouterr().err
+
+    def test_loocv_capped_run_warns(self, tmp_path, capsys):
+        argv = ["loocv", "--max-iter", "1", "--c", "100", "--width", "16", "--height", "12"]
+        err = self._run(tmp_path, capsys, argv)
+        assert err == "texscreen: warning: 6 of 6 folds stopped at the pass cap (--max-iter 1)\n"
+
+    def test_sweep_capped_run_warns(self, tmp_path, capsys):
+        argv = ["sweep", "--max-iter", "1", "--c", "100", "--resolutions", "8x6,16x12"]
+        err = self._run(tmp_path, capsys, argv)
+        assert err.startswith("texscreen: warning: ")
+        assert err.endswith(" of 36 folds stopped at the pass cap (--max-iter 1)\n")
+
+    def test_default_runs_are_silent(self, tmp_path, capsys):
+        loocv = ["loocv", "--width", "16", "--height", "12"]
+        assert self._run(tmp_path / "l", capsys, loocv) == ""
+        assert self._run(tmp_path / "s", capsys, ["sweep", "--resolutions", "8x6,16x12"]) == ""
+
+
 class TestInstalledEntryPoint:
     def test_module_invocation(self, tmp_path):
         bench = tmp_path / "bench"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,21 +130,81 @@ class TestFilterGroup:
             filter_group(_table_shaped_manifest(), 3)
 
 
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
+
+
+def _scalar_splitmix64(seed, count):
+    """Reference stream: the published splitmix64.c recurrence, one draw at a time."""
+    state = seed
+    out = []
+    for _ in range(count):
+        state = (state + _GAMMA) & _MASK
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        out.append(z ^ (z >> 31))
+    return out
+
+
 class TestSplitMix64:
     def test_deterministic_stream(self):
         a = SplitMix64(1234)
         b = SplitMix64(1234)
-        assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
+        assert a.next_block(5).tolist() == b.next_block(5).tolist()
 
     def test_byte_range(self):
-        rng = SplitMix64(9)
-        values = [rng.next_byte() for _ in range(1000)]
+        values = (SplitMix64(9).next_block(1000) >> np.uint64(56)).tolist()
         assert min(values) >= 0 and max(values) <= 255
         assert len(set(values)) > 100  # spread over the byte range
 
     def test_bounded_draws(self):
-        rng = SplitMix64(9)
-        assert all(0 <= rng.next_below(7) < 7 for _ in range(200))
+        bounds = np.arange(200, 0, -1, dtype=np.uint64)
+        draws = SplitMix64(9).next_block(200) % bounds
+        assert np.all(draws < bounds)
+
+    def test_reference_vector(self):
+        expected = [
+            6457827717110365317,
+            3203168211198807973,
+            9817491932198370423,
+            4593380528125082431,
+            16408922859458223821,
+        ]
+        assert _scalar_splitmix64(1234567, 5) == expected
+        assert SplitMix64(1234567).next_block(5).tolist() == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_block_equals_scalar_stream(self, seed):
+        block = SplitMix64(seed).next_block(1000)
+        assert block.dtype == np.uint64
+        assert block.tolist() == _scalar_splitmix64(seed, 1000)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_split_blocks_continue_the_stream(self, seed):
+        rng = SplitMix64(seed)
+        drawn = []
+        for count in (1, 0, 7, 256, 3):
+            drawn.extend(rng.next_block(count).tolist())
+        assert drawn == _scalar_splitmix64(seed, len(drawn))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_state_advances_by_count_gammas(self, seed):
+        rng = SplitMix64(seed)
+        for count in (0, 1, 5000):
+            before = rng.state
+            rng.next_block(count)
+            assert rng.state == (before + count * _GAMMA) & _MASK
+
+
+def _digests(images, manifest):
+    pixels = hashlib.sha256()
+    for img in images:
+        pixels.update(img.pixels.tobytes())
+    return (
+        pixels.hexdigest(),
+        hashlib.sha256(serialize_manifest(manifest).encode()).hexdigest(),
+    )
 
 
 class TestGenerateSynthetic:
@@ -152,6 +214,32 @@ class TestGenerateSynthetic:
         assert manifest1 == manifest2
         for a, b in zip(images1, images2):
             assert np.array_equal(a.pixels, b.pixels)
+
+    @pytest.mark.parametrize(
+        "spec, pixels, manifest",
+        [
+            (
+                FROZEN_SPEC,
+                "47fc33d2dbd5037c2f4d28813b6475b0b6b41e7d2abb4df06ff80d9e8952d66c",
+                "e1ff43f65221367147e4fce8c75ebd687db2f24188d79d897a4fba2b0a64a475",
+            ),
+            (
+                SyntheticSpec(seed=1, per_class=2, width=300, height=225, smoothing_radius=0),
+                "7086730e7b85a326f22d450170dcc723a60ee27d22e99204c8a81818975cc954",
+                "5d30bb3496a4e6d63de1f50cbd384592934c16774578e92a67191db228f1a006",
+            ),
+            (
+                SyntheticSpec(seed=1, per_class=2, width=300, height=225, smoothing_radius=2),
+                "c9381e6a7f5c013e176a549eff3e8f9b45c6e7a0d617aec8c89f045f3862975e",
+                "5d30bb3496a4e6d63de1f50cbd384592934c16774578e92a67191db228f1a006",
+            ),
+        ],
+        ids=["frozen", "300x225-r0", "300x225-r2"],
+    )
+    def test_pinned_bytes(self, spec, pixels, manifest):
+        """SHA-256 of every image's pixels and of the manifest text, recorded
+        from the one-draw-at-a-time generator."""
+        assert _digests(*generate_synthetic(spec)) == (pixels, manifest)
 
     def test_output_count_and_balance(self, synthetic_benchmark):
         images, manifest, _ = synthetic_benchmark

@@ -158,7 +158,8 @@ class TestLoocv:
             ]
             labels = [e.label for e in dataset.entries]
             model = train_csvc(
-                TrainingSet.from_samples(list(zip(vectors, labels))), SolverConfig()
+                TrainingSet(np.stack([fv.values for fv in vectors]), labels, kind),
+                SolverConfig(),
             )
             resub = sum(
                 1 for fv, y in zip(vectors, labels) if predict(model, fv) == y

@@ -16,7 +16,6 @@ from texscreen.features import (
     lbp_transform,
     normalize_l1,
     parse_feature,
-    raw_counts,
 )
 from texscreen.imagecore import GrayImage
 
@@ -141,12 +140,6 @@ class TestNormalizeAndConcat:
             bins[0] += 1  # non-zero total
             fv = normalize_l1(Histogram256(bins), FeatureKind.LBP)
             assert abs(fv.values.sum() - 1.0) < 1e-12
-
-    def test_raw_counts_alternative(self):
-        bins = np.zeros(256, dtype=np.int64)
-        bins[3] = 7
-        fv = raw_counts(Histogram256(bins), FeatureKind.GRAY)
-        assert fv.values[3] == 7.0
 
     def test_concat_block_placement(self):
         a = np.zeros(256)

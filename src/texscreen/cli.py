@@ -16,11 +16,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .classifier import SolverConfig
 from .dataset import (
-    Manifest,
+    LabeledDataset,
     ManifestError,
     SyntheticSpec,
     filter_group,
@@ -31,8 +32,6 @@ from .dataset import (
 from .evaluation import (
     DEFAULT_RESOLUTION,
     DEFAULT_SWEEP_RESOLUTIONS,
-    DatasetEntry,
-    LabeledDataset,
     loocv,
     report_to_json,
     report_to_table,
@@ -204,24 +203,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_manifest(path_text: str, group: str) -> tuple[Manifest, Path]:
+def _load_dataset(path_text: str, group: str) -> LabeledDataset:
+    """The manifest's entries (of one group, unless `group` is "all") with
+    their images decoded to gray; image paths resolve against the manifest."""
     path = Path(path_text)
     manifest = load_manifest(path.read_bytes())
     if group != "all":
         manifest = filter_group(manifest, int(group))
-    return manifest, path.parent
-
-
-def _load_dataset(manifest: Manifest, base_dir: Path) -> LabeledDataset:
     entries = []
     for e in manifest.entries:
-        image_path = Path(e.path)
-        if not image_path.is_absolute():
-            image_path = base_dir / image_path
-        decoded = decode_image(image_path.read_bytes())
+        decoded = decode_image((path.parent / e.path).read_bytes())
         if isinstance(decoded, RgbImage):
             decoded = to_grayscale(decoded)
-        entries.append(DatasetEntry(e.sample_id, decoded, e.label, e.group))
+        entries.append(replace(e, image=decoded))
     return LabeledDataset(tuple(entries))
 
 
@@ -233,16 +227,15 @@ def _write_text(out: str | None, text: str) -> None:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    manifest, base_dir = _read_manifest(args.manifest, args.group)
-    dataset = _load_dataset(manifest, base_dir)
+    dataset = _load_dataset(args.manifest, args.group)
     target = Resolution(args.width, args.height)
     cmp = _COMPARATORS[args.comparator]
     kind = FeatureKind(args.kind)
     lines = [
-        format_feature(extract_feature(resize_bilinear(e.image, target), kind, cmp))
+        format_feature(extract_feature(resize_bilinear(e.image, target), kind, cmp)) + "\n"
         for e in dataset.entries
     ]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, "".join(lines))
     return EXIT_OK
 
 
@@ -260,8 +253,7 @@ def _warn_pass_cap(unconverged: int, folds: int, max_iter: int) -> None:
 
 
 def _cmd_loocv(args: argparse.Namespace) -> int:
-    manifest, base_dir = _read_manifest(args.manifest, args.group)
-    dataset = _load_dataset(manifest, base_dir)
+    dataset = _load_dataset(args.manifest, args.group)
     report = loocv(
         dataset,
         FeatureKind(args.kind),
@@ -279,8 +271,7 @@ def _cmd_loocv(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    manifest, base_dir = _read_manifest(args.manifest, args.group)
-    dataset = _load_dataset(manifest, base_dir)
+    dataset = _load_dataset(args.manifest, args.group)
     resolutions = args.resolutions if args.resolutions else DEFAULT_SWEEP_RESOLUTIONS
     report = resolution_sweep(
         dataset, resolutions, _COMPARATORS[args.comparator], _solver_config(args)
@@ -308,10 +299,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    images, manifest = generate_synthetic(spec)
-    for image, entry in zip(images, manifest.entries):
-        (out_dir / entry.path).write_bytes(encode_pgm(image))
-    (out_dir / "manifest.csv").write_text(serialize_manifest(manifest), encoding="utf-8")
+    _, dataset = generate_synthetic(spec)
+    for entry in dataset.entries:
+        (out_dir / entry.path).write_bytes(encode_pgm(entry.image))
+    (out_dir / "manifest.csv").write_text(serialize_manifest(dataset), encoding="utf-8")
     return EXIT_OK
 
 

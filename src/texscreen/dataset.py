@@ -1,4 +1,10 @@
-"""Labeled image manifests and the seeded synthetic benchmark generator.
+"""Labeled samples, manifest text, and the seeded synthetic benchmark generator.
+
+A labeled sample is a `DatasetEntry`: an id, a label (+1 adulterated, -1
+normal), a group (1 or 2), the image path it was listed under, and its
+decoded image once the pixels are read. `LabeledDataset` is an ordered
+collection of entries with unique ids; it is what manifests parse into,
+what the generator returns, and what evaluation consumes.
 
 Manifests are comma-separated text with header `id,path,label,group`, one
 entry per line; labels are `normal` or `adulterated`, groups 1 or 2.
@@ -24,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifier import LABEL_ADULTERATED, LABEL_NORMAL
 from .imagecore import GrayImage
 
-LABEL_NAMES = {-1: "normal", 1: "adulterated"}
+LABEL_NAMES = {LABEL_NORMAL: "normal", LABEL_ADULTERATED: "adulterated"}
 LABEL_VALUES = {name: value for value, name in LABEL_NAMES.items()}
 MANIFEST_HEADER = ("id", "path", "label", "group")
 
@@ -40,17 +47,16 @@ class ManifestError(ValueError):
 
 
 @dataclass(frozen=True)
-class ManifestEntry:
+class DatasetEntry:
     sample_id: str
-    path: str
+    image: GrayImage | None  # None until the pixels are decoded
     label: int  # +1 adulterated, -1 normal
     group: int  # 1 or 2
+    path: str = ""  # where the image is listed, relative to its manifest
 
     def __post_init__(self):
         if not self.sample_id:
             raise ValueError("sample id must be non-empty")
-        if not self.path:
-            raise ValueError("path must be non-empty")
         if self.label not in LABEL_NAMES:
             raise ValueError("label must be +1 or -1")
         if self.group not in (1, 2):
@@ -58,15 +64,15 @@ class ManifestEntry:
 
 
 @dataclass(frozen=True)
-class Manifest:
-    entries: tuple[ManifestEntry, ...]
+class LabeledDataset:
+    entries: tuple[DatasetEntry, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
         seen = set()
         for e in self.entries:
             if e.sample_id in seen:
-                raise ValueError(f"duplicate id {e.sample_id!r}")
+                raise ValueError(f"duplicate sample id {e.sample_id!r}")
             seen.add(e.sample_id)
 
     def __len__(self) -> int:
@@ -127,8 +133,9 @@ class SplitMix64:
         return z
 
 
-def load_manifest(data: bytes | str) -> Manifest:
-    """Parse manifest text, reporting defects with their line number."""
+def load_manifest(data: bytes | str) -> LabeledDataset:
+    """Parse manifest text into image-less entries, reporting defects with
+    their line number."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -145,7 +152,7 @@ def load_manifest(data: bytes | str) -> Manifest:
         raise ManifestError(
             f"header must be {','.join(MANIFEST_HEADER)!r}, got {lines[0]!r}", 1
         )
-    entries: list[ManifestEntry] = []
+    entries: list[DatasetEntry] = []
     seen: set[str] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -154,8 +161,6 @@ def load_manifest(data: bytes | str) -> Manifest:
         if len(fields) != 4:
             raise ManifestError(f"expected 4 fields, got {len(fields)}", lineno)
         sample_id, path, label_token, group_token = fields
-        if not sample_id:
-            raise ManifestError("missing id", lineno)
         if not path:
             raise ManifestError("missing path", lineno)
         if label_token not in LABEL_VALUES:
@@ -165,27 +170,32 @@ def load_manifest(data: bytes | str) -> Manifest:
         if sample_id in seen:
             raise ManifestError(f"duplicate id {sample_id!r}", lineno)
         seen.add(sample_id)
-        entries.append(
-            ManifestEntry(sample_id, path, LABEL_VALUES[label_token], int(group_token))
-        )
-    return Manifest(tuple(entries))
+        try:
+            entry = DatasetEntry(
+                sample_id, None, LABEL_VALUES[label_token], int(group_token), path
+            )
+        except ValueError as exc:
+            raise ManifestError(str(exc), lineno) from None
+        entries.append(entry)
+    return LabeledDataset(tuple(entries))
 
 
-def serialize_manifest(manifest: Manifest) -> str:
-    """Render manifest text; load_manifest(serialize_manifest(m)) == m."""
+def serialize_manifest(dataset: LabeledDataset) -> str:
+    """Render manifest text; load_manifest(serialize_manifest(d)) == d when
+    d's entries carry no image."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(MANIFEST_HEADER)
-    for e in manifest.entries:
+    for e in dataset.entries:
         writer.writerow([e.sample_id, e.path, LABEL_NAMES[e.label], str(e.group)])
     return buf.getvalue()
 
 
-def filter_group(manifest: Manifest, group: int) -> Manifest:
+def filter_group(dataset: LabeledDataset, group: int) -> LabeledDataset:
     """Entries of one group, original order preserved; may be empty."""
     if group not in (1, 2):
         raise ValueError("group must be 1 or 2")
-    return Manifest(tuple(e for e in manifest.entries if e.group == group))
+    return LabeledDataset(tuple(e for e in dataset.entries if e.group == group))
 
 
 def _box_blur(pixels: np.ndarray, radius: int) -> np.ndarray:
@@ -209,7 +219,7 @@ def _box_blur(pixels: np.ndarray, radius: int) -> np.ndarray:
     return (2 * sums + counts) // (2 * counts)
 
 
-def generate_synthetic(spec: SyntheticSpec) -> tuple[list[GrayImage], Manifest]:
+def generate_synthetic(spec: SyntheticSpec) -> tuple[list[GrayImage], LabeledDataset]:
     """Build the paired synthetic benchmark; same spec, same bytes.
 
     The stream is consumed in a fixed order per pair k: height*width outputs
@@ -217,11 +227,11 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[list[GrayImage], Manifest]:
     draws, the one for i = n-1 .. 1 reduced modulo i+1, that permute the
     blurred result into the adulterated twin. Pairs alternate between
     groups 1 and 2. Twin gray-level histograms are verified equal before
-    returning.
+    returning. Each entry carries its image and a `<id>.pgm` path; the
+    images are also returned in entry order.
     """
     rng = SplitMix64(spec.seed)
-    images: list[GrayImage] = []
-    entries: list[ManifestEntry] = []
+    entries: list[DatasetEntry] = []
     n = spec.width * spec.height
     for k in range(spec.per_class):
         raw = (rng.next_block(n) >> np.uint64(56)).astype(np.uint8)
@@ -246,8 +256,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[list[GrayImage], Manifest]:
         group = 1 if k % 2 == 0 else 2
         for label_name, pixels in (("normal", normal_pixels), ("adulterated", adulterated_pixels)):
             sample_id = f"{label_name}-{k:03d}"
-            images.append(GrayImage(pixels))
-            entries.append(
-                ManifestEntry(sample_id, f"{sample_id}.pgm", LABEL_VALUES[label_name], group)
-            )
-    return images, Manifest(tuple(entries))
+            label = LABEL_VALUES[label_name]
+            image = GrayImage(pixels)
+            entries.append(DatasetEntry(sample_id, image, label, group, f"{sample_id}.pgm"))
+    return [e.image for e in entries], LabeledDataset(tuple(entries))

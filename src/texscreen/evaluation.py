@@ -26,8 +26,9 @@ from .classifier import (
     predict,
     train_csvc,
 )
+from .dataset import LabeledDataset
 from .features import Comparator, FeatureKind, FeatureVector, concat, extract_feature
-from .imagecore import GrayImage, Resolution, resize_bilinear
+from .imagecore import Resolution, resize_bilinear
 
 # 4:3 sweep grid from 50x37 up to the default working resolution 300x225
 DEFAULT_SWEEP_RESOLUTIONS = tuple(
@@ -47,43 +48,6 @@ DEFAULT_SWEEP_RESOLUTIONS = tuple(
     )
 )
 DEFAULT_RESOLUTION = Resolution(300, 225)
-
-
-@dataclass(eq=False)
-class DatasetEntry:
-    sample_id: str
-    image: GrayImage
-    label: int  # +1 adulterated, -1 normal
-    group: int  # 1 or 2
-
-    def __post_init__(self):
-        if not self.sample_id:
-            raise ValueError("sample id must be non-empty")
-        if self.label not in (LABEL_ADULTERATED, LABEL_NORMAL):
-            raise ValueError("label must be +1 or -1")
-        if self.group not in (1, 2):
-            raise ValueError("group must be 1 or 2")
-
-
-@dataclass(eq=False)
-class LabeledDataset:
-    entries: tuple[DatasetEntry, ...]
-
-    def __post_init__(self):
-        self.entries = tuple(self.entries)
-        if len(self.entries) < 3:
-            raise ValueError("dataset needs at least 3 entries")
-        seen = set()
-        for e in self.entries:
-            if e.sample_id in seen:
-                raise ValueError(f"duplicate sample id {e.sample_id!r}")
-            seen.add(e.sample_id)
-        labels = {e.label for e in self.entries}
-        if labels != {LABEL_ADULTERATED, LABEL_NORMAL}:
-            raise ValueError("dataset must contain both labels")
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -205,8 +169,17 @@ def _feature_tables(
     """Per requested kind, every entry's feature vector and their (n, d) stack.
 
     Each image is resized once and histogrammed once per base kind; CONCAT
-    joins the LBP and GRAY vectors instead of extracting again.
+    joins the LBP and GRAY vectors instead of extracting again. This is
+    where every leave-one-out run starts, so LOOCV's preconditions on the
+    dataset are checked here.
     """
+    if len(data) < 3:
+        raise ValueError("dataset needs at least 3 entries")
+    if {e.label for e in data.entries} != {LABEL_ADULTERATED, LABEL_NORMAL}:
+        raise ValueError("dataset must contain both labels")
+    for e in data.entries:
+        if e.image is None:
+            raise ValueError(f"entry {e.sample_id!r} has no decoded image")
     if target.width < 3 or target.height < 3:
         raise ValueError("evaluation resolutions must be at least 3x3")
     base: dict[FeatureKind, list[FeatureVector]] = {

@@ -51,48 +51,6 @@ _NEIGHBOR_BITS = (
 
 
 @dataclass(eq=False)
-class LbpMatrix:
-    """Per-pixel LBP codes for the interior of an image."""
-
-    codes: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.codes)
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError("LBP codes must form a non-empty 2-D array")
-        if not np.issubdtype(a.dtype, np.integer) or a.min() < 0 or a.max() > 255:
-            raise ValueError("LBP codes must be integers in [0, 255]")
-        self.codes = a.astype(np.uint8)
-
-    @property
-    def width(self) -> int:
-        return self.codes.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.codes.shape[0]
-
-
-@dataclass(eq=False)
-class Histogram256:
-    """256 non-negative counts."""
-
-    bins: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.bins)
-        if a.shape != (256,):
-            raise ValueError("histogram must have exactly 256 bins")
-        if not np.issubdtype(a.dtype, np.integer) or a.min() < 0:
-            raise ValueError("histogram bins must be non-negative integers")
-        self.bins = a.astype(np.int64)
-
-    @property
-    def total(self) -> int:
-        return int(self.bins.sum())
-
-
-@dataclass(eq=False)
 class FeatureVector:
     """Non-negative feature values tagged with their kind.
 
@@ -116,12 +74,13 @@ class FeatureVector:
         self.values = a
 
 
-def lbp_transform(img: GrayImage, cmp: Comparator = Comparator.STRICT_GREATER) -> LbpMatrix:
+def lbp_transform(img: GrayImage, cmp: Comparator = Comparator.STRICT_GREATER) -> np.ndarray:
     """Compute the LBP code of every interior pixel.
 
-    Requires at least a 3x3 image; the result is (H-2) x (W-2). Codes depend
-    only on the sign of neighbor-minus-center differences, so adding a
-    constant to every pixel leaves the result unchanged.
+    Requires at least a 3x3 image; the result is an (H-2, W-2) uint8
+    array. Codes depend only on the sign of neighbor-minus-center
+    differences, so adding a constant to every pixel leaves the result
+    unchanged.
     """
     p = img.pixels
     h, w = p.shape
@@ -134,27 +93,27 @@ def lbp_transform(img: GrayImage, cmp: Comparator = Comparator.STRICT_GREATER) -
         neighbor = p[1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx]
         hits = neighbor > center if strict else neighbor >= center
         codes |= hits.astype(np.uint8) << np.uint8(bit)
-    return LbpMatrix(codes)
+    return codes
 
 
-def lbp_histogram(matrix: LbpMatrix) -> Histogram256:
-    """Count code occurrences; the total equals the number of matrix cells."""
-    return Histogram256(np.bincount(matrix.codes.ravel(), minlength=256))
+def lbp_histogram(codes: np.ndarray) -> np.ndarray:
+    """256 code counts; the total equals the number of code cells."""
+    return np.bincount(codes.ravel(), minlength=256)
 
 
-def gray_histogram(img: GrayImage) -> Histogram256:
-    """Count pixel intensities; the total equals the pixel count."""
-    return Histogram256(np.bincount(img.pixels.ravel(), minlength=256))
+def gray_histogram(img: GrayImage) -> np.ndarray:
+    """256 intensity counts; the total equals the pixel count."""
+    return np.bincount(img.pixels.ravel(), minlength=256)
 
 
-def normalize_l1(hist: Histogram256, kind: FeatureKind) -> FeatureVector:
-    """Divide bins by their total so the values sum to one."""
+def normalize_l1(hist: np.ndarray, kind: FeatureKind) -> FeatureVector:
+    """Divide 256 bin counts by their total so the values sum to one."""
     if kind not in (FeatureKind.LBP, FeatureKind.GRAY):
         raise ValueError("normalize_l1 produces LBP or GRAY features only")
-    total = hist.total
+    total = hist.sum()
     if total == 0:
         raise ValueError("cannot normalize a zero-total histogram")
-    return FeatureVector(kind, hist.bins / total)
+    return FeatureVector(kind, hist / total)
 
 
 def concat(lbp: FeatureVector, gray: FeatureVector) -> FeatureVector:

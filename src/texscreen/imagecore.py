@@ -22,6 +22,17 @@ class PnmDecodeError(ValueError):
         self.offset = offset
 
 
+def _checked_pixels(a: np.ndarray) -> np.ndarray:
+    """Pixels of at least 1x1 as uint8, after checking integer values in [0, 255]."""
+    if a.shape[0] < 1 or a.shape[1] < 1:
+        raise ValueError("image must be at least 1x1")
+    if not np.issubdtype(a.dtype, np.integer):
+        raise ValueError("pixel values must be integers")
+    if a.min() < 0 or a.max() > 255:
+        raise ValueError("pixel values must lie in [0, 255]")
+    return a.astype(np.uint8)
+
+
 @dataclass(eq=False)
 class GrayImage:
     """Single-channel 8-bit raster, row-major."""
@@ -32,13 +43,7 @@ class GrayImage:
         a = np.asarray(self.pixels)
         if a.ndim != 2:
             raise ValueError("gray image pixels must form a 2-D array")
-        if a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError("image must be at least 1x1")
-        if not np.issubdtype(a.dtype, np.integer):
-            raise ValueError("pixel values must be integers")
-        if a.min() < 0 or a.max() > 255:
-            raise ValueError("pixel values must lie in [0, 255]")
-        self.pixels = a.astype(np.uint8)
+        self.pixels = _checked_pixels(a)
 
     @property
     def width(self) -> int:
@@ -59,13 +64,7 @@ class RgbImage:
         a = np.asarray(self.pixels)
         if a.ndim != 3 or a.shape[2] != 3:
             raise ValueError("rgb image pixels must form an (H, W, 3) array")
-        if a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError("image must be at least 1x1")
-        if not np.issubdtype(a.dtype, np.integer):
-            raise ValueError("pixel values must be integers")
-        if a.min() < 0 or a.max() > 255:
-            raise ValueError("pixel values must lie in [0, 255]")
-        self.pixels = a.astype(np.uint8)
+        self.pixels = _checked_pixels(a)
 
     @property
     def width(self) -> int:

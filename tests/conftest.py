@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from texscreen.dataset import SyntheticSpec, generate_synthetic
-from texscreen.evaluation import DatasetEntry, LabeledDataset
 
 # seed frozen after verifying the LBP-vs-GRAY separation it must achieve
 FROZEN_SEED = 1
@@ -21,15 +20,9 @@ FROZEN_SPEC = SyntheticSpec(seed=FROZEN_SEED, per_class=20, width=64, height=48,
 
 @pytest.fixture(scope="session")
 def synthetic_benchmark():
-    """Frozen synthetic benchmark: (images, manifest, labeled dataset)."""
-    images, manifest = generate_synthetic(FROZEN_SPEC)
-    dataset = LabeledDataset(
-        tuple(
-            DatasetEntry(e.sample_id, img, e.label, e.group)
-            for img, e in zip(images, manifest.entries)
-        )
-    )
-    return images, manifest, dataset
+    """Frozen synthetic benchmark: a labeled dataset whose entries carry images."""
+    _, dataset = generate_synthetic(FROZEN_SPEC)
+    return dataset
 
 
 def lbp_reference(pixels, strict=True):

@@ -71,28 +71,28 @@ def test_criterion_1_report_arithmetic():
 def test_criterion_2_lbp_kernel_suite():
     started = time.perf_counter()
     constant = GrayImage(np.full((8, 8), 50))
-    assert (lbp_transform(constant, Comparator.STRICT_GREATER).codes == 0).all()
-    assert (lbp_transform(constant, Comparator.GREATER_EQUAL).codes == 255).all()
+    assert (lbp_transform(constant, Comparator.STRICT_GREATER) == 0).all()
+    assert (lbp_transform(constant, Comparator.GREATER_EQUAL) == 255).all()
 
     hand = GrayImage([[6, 5, 2], [7, 5, 1], [9, 8, 7]])
-    assert lbp_transform(hand).codes.tolist() == [[143]]
+    assert lbp_transform(hand).tolist() == [[143]]
 
     rng = np.random.default_rng(107)
     for _ in range(10):
         h, w = rng.integers(3, 24, size=2)
         img = GrayImage(rng.integers(0, 256, size=(h, w)))
-        assert lbp_histogram(lbp_transform(img)).total == (h - 2) * (w - 2)
+        assert lbp_histogram(lbp_transform(img)).sum() == (h - 2) * (w - 2)
 
     pixels = rng.integers(0, 200, size=(9, 9))
     assert np.array_equal(
-        lbp_transform(GrayImage(pixels)).codes,
-        lbp_transform(GrayImage(pixels + 55)).codes,
+        lbp_transform(GrayImage(pixels)),
+        lbp_transform(GrayImage(pixels + 55)),
     )
 
     for _ in range(100):
         pixels = rng.integers(0, 256, size=(5, 5))
         assert (
-            lbp_transform(GrayImage(pixels)).codes.tolist()
+            lbp_transform(GrayImage(pixels)).tolist()
             == lbp_reference(pixels.tolist(), strict=True)
         )
     elapsed = time.perf_counter() - started
@@ -102,7 +102,7 @@ def test_criterion_2_lbp_kernel_suite():
 
 def test_criterion_3_synthetic_end_to_end(synthetic_benchmark):
     started = time.perf_counter()
-    _, _, dataset = synthetic_benchmark
+    dataset = synthetic_benchmark
     assert len(dataset) == 40
     native = Resolution(64, 48)
     acc_lbp = loocv(dataset, FeatureKind.LBP, native).global_accuracy
@@ -173,7 +173,7 @@ def test_criterion_4_solver_suite():
 
 def test_criterion_5_resolution_sweep(synthetic_benchmark):
     started = time.perf_counter()
-    _, _, dataset = synthetic_benchmark
+    dataset = synthetic_benchmark
     first = resolution_sweep(dataset, DEFAULT_SWEEP_RESOLUTIONS)
     second = resolution_sweep(dataset, DEFAULT_SWEEP_RESOLUTIONS)
     assert len(first.rows) == 11

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -171,6 +172,55 @@ class TestExtractCommand:
             assert fv.values.shape == (512,)
 
 
+class TestExtractAnyManifest:
+    """extract needs no labels, so LOOCV's dataset rules do not apply to it."""
+
+    def _manifest(self, tmp_path, rows):
+        bench = _synth(tmp_path)
+        path = bench / "subset.csv"
+        path.write_text("id,path,label,group\n" + "".join(row + "\n" for row in rows))
+        return str(path)
+
+    def _extract(self, manifest, out, *flags):
+        argv = ["extract", "--manifest", manifest, "--width", "16", "--height", "12"]
+        return main([*argv, *flags, "--out", str(out)])
+
+    def _evaluations_fail(self, manifest, flags, message, capsys):
+        capsys.readouterr()
+        for argv in (
+            ["loocv", "--width", "16", "--height", "12"],
+            ["sweep", "--resolutions", "16x12"],
+        ):
+            code = main([argv[0], "--manifest", manifest, *flags, *argv[1:]])
+            assert code == EXIT_PROCESSING
+            assert capsys.readouterr().err == f"texscreen: {message}\n"
+
+    def test_single_entry_manifest(self, tmp_path, capsys):
+        manifest = self._manifest(tmp_path, ["normal-000,normal-000.pgm,normal,1"])
+        out = tmp_path / "features.txt"
+        assert self._extract(manifest, out) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1
+        assert parse_feature(lines[0]).values.shape == (256,)
+        self._evaluations_fail(manifest, [], "dataset needs at least 3 entries", capsys)
+
+    def test_single_class_group(self, tmp_path, capsys):
+        rows = [f"normal-{k:03d},normal-{k:03d}.pgm,normal,1" for k in range(3)]
+        rows += [f"adulterated-{k:03d},adulterated-{k:03d}.pgm,adulterated,2" for k in range(3)]
+        manifest = self._manifest(tmp_path, rows)
+        out = tmp_path / "features.txt"
+        assert self._extract(manifest, out, "--group", "1") == EXIT_OK
+        assert len(out.read_text().splitlines()) == 3
+        flags = ["--group", "1"]
+        self._evaluations_fail(manifest, flags, "dataset must contain both labels", capsys)
+
+    def test_empty_selection_writes_empty_output(self, tmp_path):
+        manifest = self._manifest(tmp_path, ["normal-000,normal-000.pgm,normal,1"])
+        out = tmp_path / "features.txt"
+        assert self._extract(manifest, out, "--group", "2") == EXIT_OK
+        assert out.read_bytes() == b""
+
+
 class TestSweepCommand:
     def test_table_format(self, tmp_path):
         bench = _synth(tmp_path)
@@ -194,6 +244,51 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert lines[1].startswith("8,6,")
         assert lines[2].startswith("16,12,")
+
+
+class TestPinnedOutputs:
+    """SHA-256 of every output on the frozen set, `synth --seed 1 --per-class
+    20 --width 64 --height 48`, recorded before the manifest and dataset
+    record types were merged: outputs must stay byte-identical."""
+
+    @pytest.fixture(scope="class")
+    def frozen_manifest(self, tmp_path_factory):
+        bench = tmp_path_factory.mktemp("frozen")
+        argv = ["synth", "--out", str(bench), "--seed", "1", "--per-class", "20"]
+        assert main([*argv, "--width", "64", "--height", "48"]) == EXIT_OK
+        return bench / "manifest.csv"
+
+    def test_manifest(self, frozen_manifest):
+        digest = hashlib.sha256(frozen_manifest.read_bytes()).hexdigest()
+        assert digest == "e1ff43f65221367147e4fce8c75ebd687db2f24188d79d897a4fba2b0a64a475"
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["extract", "--kind", "concat", "--width", "32", "--height", "24"],
+                "ac516e6110ca6b23d543dc2a777b7e6af51153a17eb72de411f09a4c67734d38",
+            ),
+            (
+                ["loocv", "--width", "64", "--height", "48"],
+                "c301a75f451796d95ef2292a3eb22a82d19dcd0d084164456a7ffa78001f9dfa",
+            ),
+            (
+                ["sweep", "--resolutions", "50x37,64x48"],
+                "37087960e3a88d7c791051cdb55ecc2bdd646f1c57868f9b061aa82b59795ede",
+            ),
+            (
+                ["sweep", "--resolutions", "50x37,64x48", "--format", "table"],
+                "85f15e87bcaeddb3fffae17ce1f2a06db7e5c6a0a43ae5485bd079a9250e9433",
+            ),
+        ],
+        ids=["extract-concat", "loocv-json", "sweep-json", "sweep-table"],
+    )
+    def test_command_output(self, frozen_manifest, tmp_path, argv, digest):
+        out = tmp_path / "out"
+        code = main([argv[0], "--manifest", str(frozen_manifest), *argv[1:], "--out", str(out)])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestFailurePaths:

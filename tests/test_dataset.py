@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import FROZEN_SPEC
 from texscreen.dataset import (
-    Manifest,
-    ManifestEntry,
+    DatasetEntry,
+    LabeledDataset,
     ManifestError,
     SplitMix64,
     SyntheticSpec,
@@ -22,17 +23,14 @@ from texscreen.imagecore import GrayImage
 
 
 def _table_shaped_manifest():
-    """Two-group layout: 20+20 in group 1, 4+15 in group 2."""
+    """Two-group layout of image-less entries: 20+20 in group 1, 4+15 in group 2."""
+    layout = (("g1-n", -1, 1, 20), ("g1-a", 1, 1, 20), ("g2-n", -1, 2, 4), ("g2-a", 1, 2, 15))
     entries = []
-    for i in range(20):
-        entries.append(ManifestEntry(f"g1-n{i:02d}", f"g1-n{i:02d}.pgm", -1, 1))
-    for i in range(20):
-        entries.append(ManifestEntry(f"g1-a{i:02d}", f"g1-a{i:02d}.pgm", 1, 1))
-    for i in range(4):
-        entries.append(ManifestEntry(f"g2-n{i:02d}", f"g2-n{i:02d}.pgm", -1, 2))
-    for i in range(15):
-        entries.append(ManifestEntry(f"g2-a{i:02d}", f"g2-a{i:02d}.pgm", 1, 2))
-    return Manifest(tuple(entries))
+    for prefix, label, group, count in layout:
+        for i in range(count):
+            sample_id = f"{prefix}{i:02d}"
+            entries.append(DatasetEntry(sample_id, None, label, group, f"{sample_id}.pgm"))
+    return LabeledDataset(tuple(entries))
 
 
 class TestLoadManifest:
@@ -40,8 +38,8 @@ class TestLoadManifest:
         text = "id,path,label,group\na,one.pgm,normal,1\nb,two.pgm,adulterated,2\n"
         manifest = load_manifest(text)
         assert len(manifest) == 2
-        assert manifest.entries[0] == ManifestEntry("a", "one.pgm", -1, 1)
-        assert manifest.entries[1] == ManifestEntry("b", "two.pgm", 1, 2)
+        assert manifest.entries[0] == DatasetEntry("a", None, -1, 1, "one.pgm")
+        assert manifest.entries[1] == DatasetEntry("b", None, 1, 2, "two.pgm")
 
     def test_accepts_bytes(self):
         manifest = load_manifest(b"id,path,label,group\na,x.pgm,normal,1\n")
@@ -80,6 +78,11 @@ class TestLoadManifest:
             load_manifest("id,file,label,group\na,x.pgm,normal,1\n")
         assert err.value.line == 1
 
+    def test_empty_id_names_line(self):
+        with pytest.raises(ManifestError, match="sample id") as err:
+            load_manifest("id,path,label,group\na,x.pgm,normal,1\n,y.pgm,normal,1\n")
+        assert err.value.line == 3
+
     def test_empty_path_rejected(self):
         with pytest.raises(ManifestError, match="path"):
             load_manifest("id,path,label,group\na,,normal,1\n")
@@ -116,8 +119,8 @@ class TestFilterGroup:
         assert len(filter_group(_table_shaped_manifest(), 2)) == 19
 
     def test_absent_group_yields_empty(self):
-        only_one = Manifest(tuple(e for e in _table_shaped_manifest().entries if e.group == 1))
-        assert len(filter_group(only_one, 2)) == 0
+        only_one = tuple(e for e in _table_shaped_manifest().entries if e.group == 1)
+        assert len(filter_group(LabeledDataset(only_one), 2)) == 0
 
     def test_order_preserved(self):
         manifest = _table_shaped_manifest()
@@ -197,23 +200,31 @@ class TestSplitMix64:
             assert rng.state == (before + count * _GAMMA) & _MASK
 
 
-def _digests(images, manifest):
+def _digests(images, dataset):
     pixels = hashlib.sha256()
     for img in images:
         pixels.update(img.pixels.tobytes())
     return (
         pixels.hexdigest(),
-        hashlib.sha256(serialize_manifest(manifest).encode()).hexdigest(),
+        hashlib.sha256(serialize_manifest(dataset).encode()).hexdigest(),
     )
 
 
 class TestGenerateSynthetic:
     def test_same_spec_same_bytes(self):
-        images1, manifest1 = generate_synthetic(FROZEN_SPEC)
-        images2, manifest2 = generate_synthetic(FROZEN_SPEC)
-        assert manifest1 == manifest2
+        images1, dataset1 = generate_synthetic(FROZEN_SPEC)
+        images2, dataset2 = generate_synthetic(FROZEN_SPEC)
+        # images compare by identity, so compare the entries without them
+        assert [replace(e, image=None) for e in dataset1.entries] == [
+            replace(e, image=None) for e in dataset2.entries
+        ]
         for a, b in zip(images1, images2):
             assert np.array_equal(a.pixels, b.pixels)
+
+    def test_entries_carry_image_and_path(self):
+        images, dataset = generate_synthetic(FROZEN_SPEC)
+        assert [e.image for e in dataset.entries] == images
+        assert all(e.path == f"{e.sample_id}.pgm" for e in dataset.entries)
 
     @pytest.mark.parametrize(
         "spec, pixels, manifest",
@@ -242,14 +253,13 @@ class TestGenerateSynthetic:
         assert _digests(*generate_synthetic(spec)) == (pixels, manifest)
 
     def test_output_count_and_balance(self, synthetic_benchmark):
-        images, manifest, _ = synthetic_benchmark
-        assert len(images) == 2 * FROZEN_SPEC.per_class
-        labels = [e.label for e in manifest.entries]
+        dataset = synthetic_benchmark
+        assert len(dataset) == 2 * FROZEN_SPEC.per_class
+        labels = [e.label for e in dataset.entries]
         assert labels.count(-1) == labels.count(1) == FROZEN_SPEC.per_class
 
     def test_pairs_share_gray_histogram_exactly(self, synthetic_benchmark):
-        images, manifest, _ = synthetic_benchmark
-        by_id = {e.sample_id: img for img, e in zip(images, manifest.entries)}
+        by_id = {e.sample_id: e.image for e in synthetic_benchmark.entries}
         for k in range(FROZEN_SPEC.per_class):
             normal = by_id[f"normal-{k:03d}"].pixels
             twin = by_id[f"adulterated-{k:03d}"].pixels
@@ -259,8 +269,7 @@ class TestGenerateSynthetic:
             )
 
     def test_pairs_differ_in_lbp_histogram(self, synthetic_benchmark):
-        images, manifest, _ = synthetic_benchmark
-        by_id = {e.sample_id: img for img, e in zip(images, manifest.entries)}
+        by_id = {e.sample_id: e.image for e in synthetic_benchmark.entries}
         for k in range(FROZEN_SPEC.per_class):
             normal = extract_feature(by_id[f"normal-{k:03d}"], FeatureKind.LBP)
             twin = extract_feature(by_id[f"adulterated-{k:03d}"], FeatureKind.LBP)
@@ -291,16 +300,17 @@ class TestGenerateSynthetic:
 
 class TestManifestTypes:
     def test_entry_validation(self):
-        with pytest.raises(ValueError):
-            ManifestEntry("", "x.pgm", 1, 1)
-        with pytest.raises(ValueError):
-            ManifestEntry("a", "", 1, 1)
-        with pytest.raises(ValueError):
-            ManifestEntry("a", "x.pgm", 0, 1)
-        with pytest.raises(ValueError):
-            ManifestEntry("a", "x.pgm", 1, 3)
+        img = GrayImage(np.zeros((8, 8), dtype=np.uint8))
+        for image in (None, img):
+            with pytest.raises(ValueError, match="sample id"):
+                DatasetEntry("", image, 1, 1, "x.pgm")
+            with pytest.raises(ValueError, match="label"):
+                DatasetEntry("a", image, 0, 1, "x.pgm")
+            with pytest.raises(ValueError, match="group"):
+                DatasetEntry("a", image, 1, 3, "x.pgm")
+        assert DatasetEntry("a", img, 1, 2).path == ""
 
     def test_manifest_rejects_duplicate_ids(self):
-        e = ManifestEntry("a", "x.pgm", 1, 1)
-        with pytest.raises(ValueError):
-            Manifest((e, e))
+        e = DatasetEntry("a", None, 1, 1, "x.pgm")
+        with pytest.raises(ValueError, match="duplicate"):
+            LabeledDataset((e, e))

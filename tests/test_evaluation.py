@@ -1,13 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from texscreen.classifier import SolverConfig, TrainingSet, predict, train_csvc
+from texscreen.dataset import DatasetEntry, LabeledDataset
 from texscreen.evaluation import (
     DEFAULT_SWEEP_RESOLUTIONS,
     _feature_tables,
-    DatasetEntry,
     FoldResult,
-    LabeledDataset,
     build_report,
     loocv,
     loocv_folds,
@@ -126,7 +127,7 @@ class TestLoocv:
         assert report.n == len(data)
 
     def test_separable_dataset_is_perfect(self, synthetic_benchmark):
-        _, _, dataset = synthetic_benchmark
+        dataset = synthetic_benchmark
         report = loocv(dataset, FeatureKind.LBP, Resolution(64, 48))
         assert report.global_accuracy == 1.0
 
@@ -149,7 +150,7 @@ class TestLoocv:
         assert report_to_json(r1) == report_to_json(r2)
 
     def test_resubstitution_is_at_least_loocv(self, synthetic_benchmark):
-        _, _, dataset = synthetic_benchmark
+        dataset = synthetic_benchmark
         target = Resolution(64, 48)
         for kind in (FeatureKind.LBP, FeatureKind.GRAY):
             vectors = [
@@ -173,7 +174,7 @@ class TestFeatureTable:
 
     @pytest.mark.parametrize("target", [Resolution(50, 37), Resolution(7, 11)])
     def test_rows_equal_unfused_extraction(self, synthetic_benchmark, target):
-        _, _, dataset = synthetic_benchmark
+        dataset = synthetic_benchmark
         tables = _feature_tables(dataset, self.KINDS, target, Comparator.STRICT_GREATER)
         for kind in self.KINDS:
             vectors, matrix = tables[kind]
@@ -191,7 +192,7 @@ class TestFeatureTable:
         assert list(tables) == [FeatureKind.CONCAT]
 
     def test_sweep_row_matches_per_kind_loocv(self, synthetic_benchmark):
-        _, _, dataset = synthetic_benchmark
+        dataset = synthetic_benchmark
         target = Resolution(50, 37)
         row = resolution_sweep(dataset, [target]).rows[0]
         assert (row.lbp_correct, row.gray_correct, row.concat_correct) == tuple(
@@ -263,6 +264,13 @@ class TestSerialization:
         assert "97.5%" in lines[1] and "100.0%" in lines[1] and "95.0%" in lines[1]
 
 
+# both ways a leave-one-out run starts; each checks LOOCV's preconditions
+_LOOCV_RUNS = (
+    lambda data: loocv(data, FeatureKind.LBP, Resolution(8, 8)),
+    lambda data: resolution_sweep(data, (Resolution(8, 8),)),
+)
+
+
 class TestDatasetTypes:
     def test_duplicate_ids_rejected(self):
         img = GrayImage(np.zeros((8, 8), dtype=np.uint8))
@@ -276,12 +284,23 @@ class TestDatasetTypes:
 
     def test_both_labels_required(self):
         img = GrayImage(np.zeros((8, 8), dtype=np.uint8))
-        entries = tuple(DatasetEntry(f"e{i}", img, 1, 1) for i in range(3))
-        with pytest.raises(ValueError, match="both labels"):
-            LabeledDataset(entries)
+        data = LabeledDataset(tuple(DatasetEntry(f"e{i}", img, 1, 1) for i in range(3)))
+        for run in _LOOCV_RUNS:
+            with pytest.raises(ValueError, match="dataset must contain both labels"):
+                run(data)
 
     def test_minimum_size(self):
         img = GrayImage(np.zeros((8, 8), dtype=np.uint8))
-        entries = (DatasetEntry("a", img, 1, 1), DatasetEntry("b", img, -1, 1))
-        with pytest.raises(ValueError, match="at least 3"):
-            LabeledDataset(entries)
+        data = LabeledDataset((DatasetEntry("a", img, 1, 1), DatasetEntry("b", img, -1, 1)))
+        for run in _LOOCV_RUNS:
+            with pytest.raises(ValueError, match="dataset needs at least 3 entries"):
+                run(data)
+
+    def test_images_required(self):
+        data = _tiny_dataset(n_pairs=2)
+        undecoded = LabeledDataset(
+            data.entries[:-1] + (replace(data.entries[-1], image=None),)
+        )
+        for run in _LOOCV_RUNS:
+            with pytest.raises(ValueError, match="'checker-1' has no decoded image"):
+                run(undecoded)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from texscreen.imagecore import (
     GrayImage,
@@ -217,6 +218,13 @@ class TestResize:
             out = resize_bilinear(img, Resolution(int(w), int(h)))
             assert np.array_equal(out.pixels, img.pixels)
 
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40)))
+    def test_identity_at_source_resolution_property(self, pixels):
+        img = GrayImage(pixels)
+        out = resize_bilinear(img, Resolution(img.width, img.height))
+        assert np.array_equal(out.pixels, pixels)
+
     def test_constant_image_stays_constant(self):
         img = GrayImage(np.full((7, 5), 42))
         for target in (Resolution(1, 1), Resolution(3, 9), Resolution(20, 2)):
@@ -252,6 +260,21 @@ class TestTypes:
             GrayImage(np.zeros((0, 4), dtype=np.uint8))
         with pytest.raises(ValueError):
             GrayImage(np.zeros((2, 2, 2), dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "cls, pixels, message",
+        [
+            (GrayImage, np.zeros((0, 4), dtype=np.uint8), "at least 1x1"),
+            (RgbImage, np.zeros((3, 0, 3), dtype=np.uint8), "at least 1x1"),
+            (GrayImage, np.full((2, 2), 0.5), "must be integers"),
+            (RgbImage, np.full((2, 2, 3), 0.5), "must be integers"),
+            (GrayImage, np.array([[0, 256]]), r"\[0, 255\]"),
+            (RgbImage, np.full((1, 1, 3), -1), r"\[0, 255\]"),
+        ],
+    )
+    def test_both_rasters_share_pixel_checks(self, cls, pixels, message):
+        with pytest.raises(ValueError, match=message):
+            cls(pixels)
 
     def test_rgb_requires_three_channels(self):
         with pytest.raises(ValueError):

@@ -15,11 +15,10 @@ feasible when no free support vector exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .features import FeatureKind, FeatureVector
 
 LABEL_ADULTERATED = 1
 LABEL_NORMAL = -1
@@ -40,53 +39,11 @@ class SolverConfig:
             raise ValueError("tolerance must be positive")
 
 
-@dataclass(eq=False)
-class TrainingSet:
-    features: np.ndarray  # (n, d) float64
-    labels: np.ndarray  # (n,) values in {+1, -1}
-    kind: FeatureKind
-
-    def __post_init__(self):
-        x = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels)
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise ValueError("features must form a non-empty (n, d) matrix")
-        if y.shape != (x.shape[0],):
-            raise ValueError("labels must match the number of samples")
-        if not np.all(np.isin(y, (LABEL_ADULTERATED, LABEL_NORMAL))):
-            raise ValueError("labels must be +1 or -1")
-        if not (np.any(y == LABEL_ADULTERATED) and np.any(y == LABEL_NORMAL)):
-            raise ValueError("training set must contain both labels")
-        self.features = x
-        self.labels = y.astype(np.int64)
-        self.kind = FeatureKind(self.kind)
-
-    @property
-    def dimension(self) -> int:
-        return self.features.shape[1]
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LinearModel:
     weights: np.ndarray
     bias: float
-    kind: FeatureKind
-    # the solver met its tolerance before the pass cap; not serialized
-    converged: bool = True
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.shape[0] < 1:
-            raise ValueError("weights must form a non-empty vector")
-        if not np.all(np.isfinite(w)) or not np.isfinite(self.bias):
-            raise ValueError("model parameters must be finite")
-        self.weights = w
-        self.bias = float(self.bias)
-        self.kind = FeatureKind(self.kind)
-
-    @property
-    def dimension(self) -> int:
-        return self.weights.shape[0]
+    converged: bool = True  # the solver met its tolerance before the pass cap
 
 
 @dataclass(eq=False)
@@ -186,55 +143,43 @@ def _bias_from_margins(
     return (lower + upper) / 2.0
 
 
-def train_csvc(data: TrainingSet, cfg: SolverConfig | None = None) -> LinearModel:
-    """Train a linear C-SVC on labeled feature vectors."""
+def train_csvc(
+    features: np.ndarray, labels: np.ndarray, cfg: SolverConfig | None = None
+) -> LinearModel:
+    """Train a linear C-SVC on an (n, d) feature matrix and +1/-1 labels."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels)
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise ValueError("features must form a non-empty (n, d) matrix")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features must be finite")
+    if y.shape != (x.shape[0],):
+        raise ValueError("labels must match the number of samples")
+    if not np.all(np.isin(y, (LABEL_ADULTERATED, LABEL_NORMAL))):
+        raise ValueError("labels must be +1 or -1")
+    if not (np.any(y == LABEL_ADULTERATED) and np.any(y == LABEL_NORMAL)):
+        raise ValueError("training set must contain both labels")
+    y = y.astype(np.int64)
     cfg = cfg if cfg is not None else SolverConfig()
-    solution = solve_dual(data.features, data.labels, cfg)
-    bias = _bias_from_margins(
-        data.features, data.labels, solution.alpha, solution.weights, cfg.c
-    )
-    return LinearModel(solution.weights, bias, data.kind, solution.converged)
+    solution = solve_dual(x, y, cfg)
+    bias = _bias_from_margins(x, y, solution.alpha, solution.weights, cfg.c)
+    return LinearModel(solution.weights, bias, solution.converged)
 
 
-def decision_value(model: LinearModel, x: FeatureVector) -> float:
-    """w.x + b for a feature vector of the model's kind and dimension."""
-    if x.kind is not model.kind:
-        raise ValueError(f"model expects {model.kind.value} features, got {x.kind.value}")
-    if x.values.shape[0] != model.dimension:
-        raise ValueError(
-            f"model expects {model.dimension} values, got {x.values.shape[0]}"
-        )
-    return float(model.weights @ x.values + model.bias)
+def decision_value(model: LinearModel, x: np.ndarray) -> float:
+    """w.x + b for a feature vector of the model's dimension."""
+    if x.shape[0] != model.weights.shape[0]:
+        raise ValueError(f"model expects {model.weights.shape[0]} values, got {x.shape[0]}")
+    value = float(model.weights @ x + model.bias)
+    if not math.isfinite(value):  # a NaN or infinite feature value
+        raise ValueError("feature values must be finite")
+    return value
 
 
-def predict(model: LinearModel, x: FeatureVector) -> int:
+def predict(model: LinearModel, x: np.ndarray) -> int:
     """+1 (adulterated) when the decision value is >= 0, else -1 (normal).
 
     A decision value of exactly zero deliberately maps to +1: in a fraud
     screen the conservative error is a false alarm.
     """
     return LABEL_ADULTERATED if decision_value(model, x) >= 0.0 else LABEL_NORMAL
-
-
-def format_model(model: LinearModel) -> str:
-    """One-line text form `dimension,kind,bias,w0,...` at 17 significant digits."""
-    parts = [str(model.dimension), model.kind.value, f"{model.bias:.17g}"]
-    parts.extend(f"{w:.17g}" for w in model.weights)
-    return ",".join(parts)
-
-
-def parse_model(line: str) -> LinearModel:
-    """Inverse of format_model; the round trip is value-exact."""
-    parts = line.strip().split(",")
-    if len(parts) < 4:
-        raise ValueError("model line needs dimension, kind, bias and weights")
-    try:
-        dim = int(parts[0])
-        kind = FeatureKind(parts[1])
-        bias = float(parts[2])
-        weights = np.array([float(p) for p in parts[3:]], dtype=np.float64)
-    except ValueError as exc:
-        raise ValueError(f"malformed model line: {exc}") from None
-    if weights.shape[0] != dim:
-        raise ValueError(f"model declares {dim} weights but carries {weights.shape[0]}")
-    return LinearModel(weights, bias, kind)

@@ -232,7 +232,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     cmp = _COMPARATORS[args.comparator]
     kind = FeatureKind(args.kind)
     lines = [
-        format_feature(extract_feature(resize_bilinear(e.image, target), kind, cmp)) + "\n"
+        format_feature(kind, extract_feature(resize_bilinear(e.image, target), kind, cmp))
+        + "\n"
         for e in dataset.entries
     ]
     _write_text(args.out, "".join(lines))

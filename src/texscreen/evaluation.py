@@ -21,13 +21,12 @@ from .classifier import (
     LABEL_ADULTERATED,
     LABEL_NORMAL,
     SolverConfig,
-    TrainingSet,
     decision_value,
     predict,
     train_csvc,
 )
 from .dataset import LabeledDataset
-from .features import Comparator, FeatureKind, FeatureVector, concat, extract_feature
+from .features import Comparator, FeatureKind, extract_feature
 from .imagecore import Resolution, resize_bilinear
 
 # 4:3 sweep grid from 50x37 up to the default working resolution 300x225
@@ -86,16 +85,6 @@ class EvalReport:
     @property
     def adulterated_total(self) -> int:
         return int(self.confusion[1].sum())
-
-    @property
-    def normal_accuracy(self) -> float | None:
-        total = self.normal_total
-        return int(self.confusion[0, 0]) / total if total else None
-
-    @property
-    def adulterated_accuracy(self) -> float | None:
-        total = self.adulterated_total
-        return int(self.confusion[1, 1]) / total if total else None
 
 
 @dataclass(frozen=True)
@@ -165,11 +154,11 @@ def _feature_tables(
     kinds: Sequence[FeatureKind],
     target: Resolution,
     cmp: Comparator,
-) -> dict[FeatureKind, tuple[list[FeatureVector], np.ndarray]]:
-    """Per requested kind, every entry's feature vector and their (n, d) stack.
+) -> dict[FeatureKind, np.ndarray]:
+    """Per requested kind, the (n, d) matrix of every entry's feature.
 
     Each image is resized once and histogrammed once per base kind; CONCAT
-    joins the LBP and GRAY vectors instead of extracting again. This is
+    joins the LBP and GRAY matrices instead of extracting again. This is
     where every leave-one-out run starts, so LOOCV's preconditions on the
     dataset are checked here.
     """
@@ -182,7 +171,7 @@ def _feature_tables(
             raise ValueError(f"entry {e.sample_id!r} has no decoded image")
     if target.width < 3 or target.height < 3:
         raise ValueError("evaluation resolutions must be at least 3x3")
-    base: dict[FeatureKind, list[FeatureVector]] = {
+    base: dict[FeatureKind, list[np.ndarray]] = {
         kind: []
         for kind in (FeatureKind.LBP, FeatureKind.GRAY)
         if kind in kinds or FeatureKind.CONCAT in kinds
@@ -191,22 +180,14 @@ def _feature_tables(
         resized = resize_bilinear(entry.image, target)
         for kind, vectors in base.items():
             vectors.append(extract_feature(resized, kind, cmp))
-    tables = {}
-    for kind in kinds:
-        if kind is FeatureKind.CONCAT:
-            vectors = list(map(concat, base[FeatureKind.LBP], base[FeatureKind.GRAY]))
-        else:
-            vectors = base[kind]
-        tables[kind] = (vectors, np.stack([fv.values for fv in vectors]))
-    return tables
+    tables = {kind: np.stack(vectors) for kind, vectors in base.items()}
+    if FeatureKind.CONCAT in kinds:
+        tables[FeatureKind.CONCAT] = np.hstack([tables[FeatureKind.LBP], tables[FeatureKind.GRAY]])
+    return {kind: tables[kind] for kind in kinds}
 
 
 def _folds_from_table(
-    data: LabeledDataset,
-    kind: FeatureKind,
-    vectors: Sequence[FeatureVector],
-    features: np.ndarray,
-    cfg: SolverConfig | None,
+    data: LabeledDataset, features: np.ndarray, cfg: SolverConfig | None
 ) -> tuple[FoldResult, ...]:
     """Hold out each row of a prebuilt feature matrix in turn."""
     labels = np.array([e.label for e in data.entries])
@@ -215,19 +196,18 @@ def _folds_from_table(
     for i, entry in enumerate(data.entries):
         keep[i] = False
         try:
-            training = TrainingSet(features[keep], labels[keep], kind)
+            model = train_csvc(features[keep], labels[keep], cfg)
         except ValueError as exc:
             raise ValueError(
                 f"fold holding out {entry.sample_id!r} is untrainable: {exc}"
             ) from None
         keep[i] = True
-        model = train_csvc(training, cfg)
         folds.append(
             FoldResult(
                 held_out_id=entry.sample_id,
                 true_label=entry.label,
-                predicted_label=predict(model, vectors[i]),
-                decision=decision_value(model, vectors[i]),
+                predicted_label=predict(model, features[i]),
+                decision=decision_value(model, features[i]),
                 converged=model.converged,
             )
         )
@@ -248,8 +228,7 @@ def loocv_folds(
     Features are pure functions of each image and are computed once.
     """
     kind = FeatureKind(kind)
-    vectors, features = _feature_tables(data, (kind,), target, cmp)[kind]
-    return _folds_from_table(data, kind, vectors, features, cfg)
+    return _folds_from_table(data, _feature_tables(data, (kind,), target, cmp)[kind], cfg)
 
 
 def loocv(
@@ -283,7 +262,7 @@ def resolution_sweep(
     for res in resolutions:
         tables = _feature_tables(data, kinds, res, cmp)
         reports = {
-            kind: build_report(_folds_from_table(data, kind, *tables[kind], cfg), kind)
+            kind: build_report(_folds_from_table(data, tables[kind], cfg), kind)
             for kind in kinds
         }
         rows.append(

@@ -5,11 +5,14 @@ one byte, most significant bit first: NW=7, then clockwise N=6, NE=5, E=4,
 SE=3, S=2, SW=1, W=0. Border pixels produce no code, so the code matrix is
 two pixels smaller than the image in each direction. Histograms are 256-bin
 counts; classification consumes their L1-normalized form.
+
+A feature is a plain float64 vector: 256 values for LBP or GRAY, 512 for
+CONCAT (the LBP block, then the GRAY block). The kind is an argument of the
+functions that need it, not a tag on the vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -35,8 +38,6 @@ class FeatureKind(str, Enum):
     CONCAT = "concat"
 
 
-FEATURE_LENGTHS = {FeatureKind.LBP: 256, FeatureKind.GRAY: 256, FeatureKind.CONCAT: 512}
-
 # (row offset, column offset, bit) for the eight neighbors, NW first then clockwise
 _NEIGHBOR_BITS = (
     (-1, -1, 7),
@@ -48,30 +49,6 @@ _NEIGHBOR_BITS = (
     (1, -1, 1),
     (0, -1, 0),
 )
-
-
-@dataclass(eq=False)
-class FeatureVector:
-    """Non-negative feature values tagged with their kind.
-
-    Normalized vectors (the default classification input) carry unit mass
-    per 256-value block: sum 1 for LBP/GRAY, 2 for CONCAT.
-    """
-
-    kind: FeatureKind
-    values: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.values, dtype=np.float64)
-        expected = FEATURE_LENGTHS[FeatureKind(self.kind)]
-        if a.ndim != 1 or a.shape[0] != expected:
-            raise ValueError(
-                f"{FeatureKind(self.kind).value} feature must have {expected} values"
-            )
-        if not np.all(np.isfinite(a)) or a.min() < 0:
-            raise ValueError("feature values must be finite and non-negative")
-        self.kind = FeatureKind(self.kind)
-        self.values = a
 
 
 def lbp_transform(img: GrayImage, cmp: Comparator = Comparator.STRICT_GREATER) -> np.ndarray:
@@ -106,60 +83,33 @@ def gray_histogram(img: GrayImage) -> np.ndarray:
     return np.bincount(img.pixels.ravel(), minlength=256)
 
 
-def normalize_l1(hist: np.ndarray, kind: FeatureKind) -> FeatureVector:
+def normalize_l1(hist: np.ndarray) -> np.ndarray:
     """Divide 256 bin counts by their total so the values sum to one."""
-    if kind not in (FeatureKind.LBP, FeatureKind.GRAY):
-        raise ValueError("normalize_l1 produces LBP or GRAY features only")
     total = hist.sum()
     if total == 0:
         raise ValueError("cannot normalize a zero-total histogram")
-    return FeatureVector(kind, hist / total)
-
-
-def concat(lbp: FeatureVector, gray: FeatureVector) -> FeatureVector:
-    """Juxtapose an LBP block (indices 0-255) and a GRAY block (256-511).
-
-    Blocks keep their own normalization; a CONCAT of unit-mass blocks has
-    total mass two.
-    """
-    if lbp.kind is not FeatureKind.LBP:
-        raise ValueError("first block must be an LBP feature")
-    if gray.kind is not FeatureKind.GRAY:
-        raise ValueError("second block must be a GRAY feature")
-    return FeatureVector(FeatureKind.CONCAT, np.concatenate([lbp.values, gray.values]))
+    return hist / total
 
 
 def extract_feature(
     img: GrayImage,
     kind: FeatureKind,
     cmp: Comparator = Comparator.STRICT_GREATER,
-) -> FeatureVector:
-    """Compute the L1-normalized feature of the requested kind for one image."""
+) -> np.ndarray:
+    """Compute the L1-normalized feature of the requested kind for one image.
+
+    CONCAT juxtaposes the LBP block (indices 0-255) and the GRAY block
+    (256-511); each keeps its own normalization, so its total mass is two.
+    """
     kind = FeatureKind(kind)
     if kind is FeatureKind.GRAY:
-        return normalize_l1(gray_histogram(img), FeatureKind.GRAY)
-    lbp = normalize_l1(lbp_histogram(lbp_transform(img, cmp)), FeatureKind.LBP)
+        return normalize_l1(gray_histogram(img))
+    lbp = normalize_l1(lbp_histogram(lbp_transform(img, cmp)))
     if kind is FeatureKind.LBP:
         return lbp
-    return concat(lbp, normalize_l1(gray_histogram(img), FeatureKind.GRAY))
+    return np.concatenate([lbp, normalize_l1(gray_histogram(img))])
 
 
-def format_feature(fv: FeatureVector) -> str:
+def format_feature(kind: FeatureKind, values: np.ndarray) -> str:
     """One-line text form `kind,v0,v1,...` with 17 significant digits."""
-    return ",".join([fv.kind.value] + [f"{v:.17g}" for v in fv.values])
-
-
-def parse_feature(line: str) -> FeatureVector:
-    """Inverse of format_feature; the round trip is value-exact."""
-    parts = line.strip().split(",")
-    if not parts or not parts[0]:
-        raise ValueError("empty feature line")
-    try:
-        kind = FeatureKind(parts[0])
-    except ValueError:
-        raise ValueError(f"unknown feature kind {parts[0]!r}") from None
-    try:
-        values = np.array([float(p) for p in parts[1:]], dtype=np.float64)
-    except ValueError:
-        raise ValueError("feature line holds a non-numeric value") from None
-    return FeatureVector(kind, values)
+    return ",".join([FeatureKind(kind).value] + [f"{v:.17g}" for v in values])

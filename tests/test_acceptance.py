@@ -17,7 +17,6 @@ from conftest import (
 )
 from texscreen.classifier import (
     SolverConfig,
-    TrainingSet,
     projected_gradient,
     solve_dual,
     train_csvc,
@@ -121,17 +120,14 @@ def test_criterion_3_synthetic_end_to_end(synthetic_benchmark):
 def test_criterion_4_solver_suite():
     started = time.perf_counter()
 
-    pair = TrainingSet(np.array([[0.0], [1.0]]), np.array([-1, 1]), FeatureKind.LBP)
-    model = train_csvc(pair)
+    model = train_csvc(np.array([[0.0], [1.0]]), np.array([-1, 1]))
     decisions = np.array([[0.0], [1.0]]) @ model.weights + model.bias
     assert decisions[0] < 0 <= decisions[1]
 
     xor_points = [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]
     xor_labels = [-1, -1, 1, 1]
     assert best_linear_accuracy_2d(xor_points, xor_labels) == 3
-    xor_model = train_csvc(
-        TrainingSet(np.array(xor_points), np.array(xor_labels), FeatureKind.LBP)
-    )
+    xor_model = train_csvc(np.array(xor_points), np.array(xor_labels))
     xor_preds = np.where(np.array(xor_points) @ xor_model.weights + xor_model.bias >= 0, 1, -1)
     assert (xor_preds == np.array(xor_labels)).sum() <= 3
 
@@ -146,8 +142,8 @@ def test_criterion_4_solver_suite():
         if sol.converged:
             pg = projected_gradient(x, y, sol.alpha, sol.weights, cfg.c)
             assert np.abs(pg).max() <= 1e-6
-        m_pos = train_csvc(TrainingSet(x, y, FeatureKind.LBP), cfg)
-        m_neg = train_csvc(TrainingSet(x, -y, FeatureKind.LBP), cfg)
+        m_pos = train_csvc(x, y, cfg)
+        m_neg = train_csvc(x, -y, cfg)
         d_pos = x @ m_pos.weights + m_pos.bias
         d_neg = x @ m_neg.weights + m_neg.bias
         assert np.abs(d_pos + d_neg).max() <= 1e-6
@@ -159,10 +155,7 @@ def test_criterion_4_solver_suite():
         assert oracle is not None
         _, w, b = oracle
         oracle_preds = [1 if w[0] * px + w[1] * py + b >= 0 else -1 for px, py in points]
-        trained = train_csvc(
-            TrainingSet(np.array(points), np.array(labels), FeatureKind.LBP),
-            SolverConfig(c=100.0),
-        )
+        trained = train_csvc(np.array(points), np.array(labels), SolverConfig(c=100.0))
         preds = np.where(np.array(points) @ trained.weights + trained.bias >= 0, 1, -1)
         assert preds.tolist() == oracle_preds
 

@@ -7,23 +7,18 @@ from conftest import best_linear_accuracy_2d, max_margin_separator_2d, random_se
 from texscreen.classifier import (
     LinearModel,
     SolverConfig,
-    TrainingSet,
     decision_value,
-    format_model,
-    parse_model,
     predict,
     projected_gradient,
     solve_dual,
     train_csvc,
 )
-from texscreen.features import FeatureKind, FeatureVector
-
 XOR_POINTS = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
 XOR_LABELS = np.array([-1, -1, 1, 1])
 
 
-def _training_set(points, labels):
-    return TrainingSet(np.asarray(points, dtype=float), np.asarray(labels), FeatureKind.LBP)
+def _train(points, labels, cfg=None):
+    return train_csvc(np.asarray(points, dtype=float), np.asarray(labels), cfg)
 
 
 def _decisions(model, points):
@@ -36,8 +31,7 @@ def _dual_objective(alpha, weights):
 
 class TestTrainCsvc:
     def test_separable_pair(self):
-        ts = _training_set([[0.0], [1.0]], [-1, 1])
-        model = train_csvc(ts)
+        model = _train([[0.0], [1.0]], [-1, 1])
         assert model.weights[0] > 0
         d = _decisions(model, [[0.0], [1.0]])
         assert d[0] < 0 <= d[1]
@@ -45,7 +39,7 @@ class TestTrainCsvc:
     def test_xor_cannot_exceed_three_correct(self):
         # exhaustive search over linear separators caps XOR at 3/4
         assert best_linear_accuracy_2d(XOR_POINTS.tolist(), XOR_LABELS.tolist()) == 3
-        model = train_csvc(_training_set(XOR_POINTS, XOR_LABELS))
+        model = _train(XOR_POINTS, XOR_LABELS)
         preds = np.where(_decisions(model, XOR_POINTS) >= 0, 1, -1)
         assert (preds == XOR_LABELS).sum() <= 3
 
@@ -53,29 +47,39 @@ class TestTrainCsvc:
         rng = np.random.default_rng(67)
         x = rng.normal(size=(10, 4))
         y = np.where(np.arange(10) % 3 == 0, 1, -1)
-        m_pos = train_csvc(_training_set(x, y))
-        m_neg = train_csvc(_training_set(x, -y))
+        m_pos = _train(x, y)
+        m_neg = _train(x, -y)
         assert np.abs(_decisions(m_pos, x) + _decisions(m_neg, x)).max() <= 1e-6
 
     def test_single_class_rejected(self):
-        with pytest.raises(ValueError):
-            _training_set([[0.0], [1.0]], [1, 1])
+        with pytest.raises(ValueError, match="training set must contain both labels"):
+            _train([[0.0], [1.0]], [1, 1])
+
+    def test_labels_must_be_plus_or_minus_one(self):
+        with pytest.raises(ValueError, match="labels must be \\+1 or -1"):
+            _train([[0.0], [1.0]], [0, 1])
 
     def test_dimension_mismatch_rejected(self):
         x = np.full((2, 256), 1 / 256)
-        with pytest.raises(ValueError, match="labels"):
-            TrainingSet(x, [1, -1, 1], FeatureKind.LBP)
-        with pytest.raises(ValueError, match="matrix"):
-            TrainingSet(x.ravel(), [1, -1], FeatureKind.LBP)
+        with pytest.raises(ValueError, match="labels must match the number of samples"):
+            train_csvc(x, [1, -1, 1])
+        with pytest.raises(ValueError, match="features must form a non-empty"):
+            train_csvc(x.ravel(), [1, -1])
+        with pytest.raises(ValueError, match="features must form a non-empty"):
+            train_csvc(np.zeros((0, 256)), np.zeros(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(ValueError, match="features must be finite"):
+            _train([[bad], [1.0]], [-1, 1])
 
     def test_stacked_vectors_build_matrix(self):
-        a = FeatureVector(FeatureKind.LBP, np.full(256, 1 / 256))
-        bins = np.zeros(256)
-        bins[7] = 1.0
-        b = FeatureVector(FeatureKind.LBP, bins)
-        ts = TrainingSet(np.stack([a.values, b.values]), [-1, 1], FeatureKind.LBP)
-        assert ts.dimension == 256
-        assert ts.labels.tolist() == [-1, 1]
+        a = np.full(256, 1 / 256)
+        b = np.zeros(256)
+        b[7] = 1.0
+        model = train_csvc(np.stack([a, b]), [-1, 1])
+        assert model.weights.shape == (256,)
+        assert predict(model, a) == -1 and predict(model, b) == 1
 
 
 class TestSolver:
@@ -112,12 +116,10 @@ class TestSolver:
         x = rng.normal(size=(15, 5))
         y = np.where(rng.random(15) < 0.4, 1, -1)
         y[0], y[1] = 1, -1
-        ts1 = _training_set(x, y)
-        ts2 = _training_set(x.copy(), y.copy())
-        m1, m2 = train_csvc(ts1), train_csvc(ts2)
+        m1, m2 = _train(x, y), _train(x.copy(), y.copy())
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
-        assert format_model(m1) == format_model(m2)
+        assert m1.converged == m2.converged
 
     def test_agrees_with_max_margin_oracle_on_separable_sets(self):
         rng = random.Random(83)
@@ -131,7 +133,7 @@ class TestSolver:
                 1 if w[0] * px + w[1] * py + b >= 0 else -1 for px, py in points
             ]
             assert oracle_preds == labels  # max-margin separates its own data
-            model = train_csvc(_training_set(points, labels), cfg)
+            model = _train(points, labels, cfg)
             preds = np.where(_decisions(model, points) >= 0, 1, -1)
             assert preds.tolist() == oracle_preds
 
@@ -142,9 +144,9 @@ class TestSolver:
         x = rng.normal(size=(12, 4))
         y = np.where(rng.random(12) < 0.5, 1, -1)
         y[0], y[1] = 1, -1
-        base = train_csvc(_training_set(x, y), SolverConfig(c=1.0))
+        base = _train(x, y, SolverConfig(c=1.0))
         for s in (2.0, 0.5):
-            scaled = train_csvc(_training_set(x * s, y), SolverConfig(c=1.0 / (s * s)))
+            scaled = _train(x * s, y, SolverConfig(c=1.0 / (s * s)))
             d_base = _decisions(base, x)
             d_scaled = _decisions(scaled, x * s)
             assert np.array_equal(
@@ -162,12 +164,11 @@ class TestSolver:
 
 class TestPredictAndSerialize:
     def _model(self, weights, bias):
-        return LinearModel(np.asarray(weights, dtype=float), bias, FeatureKind.LBP)
+        return LinearModel(np.asarray(weights, dtype=float), bias)
 
     def test_constant_model(self):
         m = self._model(np.zeros(256), 0.5)
-        x = FeatureVector(FeatureKind.LBP, np.full(256, 1 / 256))
-        assert decision_value(m, x) == 0.5
+        assert decision_value(m, np.full(256, 1 / 256)) == 0.5
 
     def test_coordinate_projection(self):
         w = np.zeros(256)
@@ -175,44 +176,33 @@ class TestPredictAndSerialize:
         m = self._model(w, 0.0)
         v = np.zeros(256)
         v[17] = 0.25
-        assert decision_value(m, FeatureVector(FeatureKind.LBP, v)) == 0.25
+        assert decision_value(m, v) == 0.25
 
     def test_linearity_in_x(self):
         rng = np.random.default_rng(97)
         w = rng.normal(size=256)
         m = self._model(w, 0.0)
         v = rng.random(256)
-        d1 = decision_value(m, FeatureVector(FeatureKind.LBP, v))
-        d2 = decision_value(m, FeatureVector(FeatureKind.LBP, 2 * v))
+        d1 = decision_value(m, v)
+        d2 = decision_value(m, 2 * v)
         assert d2 == 2 * d1
 
     def test_sign_rule_and_tie(self):
-        x = FeatureVector(FeatureKind.LBP, np.full(256, 1 / 256))
+        x = np.full(256, 1 / 256)
         assert predict(self._model(np.zeros(256), 3.2), x) == 1
         assert predict(self._model(np.zeros(256), -0.1), x) == -1
         assert predict(self._model(np.zeros(256), 0.0), x) == 1
 
-    def test_kind_mismatch_rejected(self):
-        m = self._model(np.zeros(256), 0.0)
-        with pytest.raises(ValueError):
-            decision_value(m, FeatureVector(FeatureKind.GRAY, np.full(256, 1 / 256)))
-
     def test_dimension_mismatch_rejected(self):
-        m = LinearModel(np.zeros(2), 0.0, FeatureKind.LBP)
-        with pytest.raises(ValueError):
-            decision_value(m, FeatureVector(FeatureKind.LBP, np.full(256, 1 / 256)))
+        m = self._model(np.zeros(2), 0.0)
+        with pytest.raises(ValueError, match="model expects 2 values, got 256"):
+            decision_value(m, np.full(256, 1 / 256))
 
-    def test_model_roundtrip_exact(self):
-        rng = np.random.default_rng(101)
-        m = LinearModel(rng.normal(size=512), float(rng.normal()), FeatureKind.CONCAT)
-        again = parse_model(format_model(m))
-        assert again.kind is FeatureKind.CONCAT
-        assert again.bias == m.bias
-        assert np.array_equal(again.weights, m.weights)
-
-    def test_parse_rejects_weight_count_mismatch(self):
-        with pytest.raises(ValueError):
-            parse_model("3,lbp,0.0,1.0,2.0")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        m = self._model([0.0, 1.0], 0.0)
+        with pytest.raises(ValueError, match="feature values must be finite"):
+            predict(m, np.array([0.5, bad]))
 
 
 class TestSolverConfig:

@@ -273,7 +273,7 @@ class TestGenerateSynthetic:
         for k in range(FROZEN_SPEC.per_class):
             normal = extract_feature(by_id[f"normal-{k:03d}"], FeatureKind.LBP)
             twin = extract_feature(by_id[f"adulterated-{k:03d}"], FeatureKind.LBP)
-            assert np.abs(normal.values - twin.values).sum() > 0
+            assert np.abs(normal - twin).sum() > 0
 
     def test_different_seeds_differ(self):
         a, _ = generate_synthetic(SyntheticSpec(seed=1, per_class=2, width=8, height=8))

@@ -8,15 +8,12 @@ from conftest import lbp_reference
 from texscreen.features import (
     Comparator,
     FeatureKind,
-    FeatureVector,
-    concat,
     extract_feature,
     format_feature,
     gray_histogram,
     lbp_histogram,
     lbp_transform,
     normalize_l1,
-    parse_feature,
 )
 from texscreen.imagecore import GrayImage
 
@@ -133,57 +130,43 @@ class TestNormalizeAndConcat:
     def test_single_mass(self):
         bins = np.zeros(256, dtype=np.int64)
         bins[0] = 9
-        fv = normalize_l1(bins, FeatureKind.LBP)
-        assert fv.values[0] == 1.0
-        assert fv.values[1:].sum() == 0.0
+        fv = normalize_l1(bins)
+        assert fv[0] == 1.0
+        assert fv[1:].sum() == 0.0
 
     def test_equal_split(self):
         bins = np.zeros(256, dtype=np.int64)
         bins[0] = bins[1] = 1
-        fv = normalize_l1(bins, FeatureKind.GRAY)
-        assert fv.values[0] == 0.5 and fv.values[1] == 0.5
+        fv = normalize_l1(bins)
+        assert fv[0] == 0.5 and fv[1] == 0.5
 
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError):
-            normalize_l1(np.zeros(256, dtype=np.int64), FeatureKind.LBP)
+            normalize_l1(np.zeros(256, dtype=np.int64))
 
     def test_normalized_sum_is_one(self):
         rng = np.random.default_rng(47)
         for _ in range(10):
             bins = rng.integers(0, 50, size=256)
             bins[0] += 1  # non-zero total
-            fv = normalize_l1(bins, FeatureKind.LBP)
-            assert abs(fv.values.sum() - 1.0) < 1e-12
+            fv = normalize_l1(bins)
+            assert abs(fv.sum() - 1.0) < 1e-12
 
     def test_concat_block_placement(self):
-        a = np.zeros(256)
-        a[0] = 1.0
-        b = np.zeros(256)
-        b[255] = 1.0
-        fv = concat(FeatureVector(FeatureKind.LBP, a), FeatureVector(FeatureKind.GRAY, b))
-        assert fv.kind is FeatureKind.CONCAT
-        assert fv.values.shape == (512,)
-        assert fv.values[0] == 1.0 and fv.values[511] == 1.0
-        assert fv.values.sum() == 2.0
+        # a constant image has every LBP code 0 (strict) and every pixel at 255
+        fv = extract_feature(GrayImage(np.full((4, 5), 255)), FeatureKind.CONCAT)
+        assert fv.dtype == np.float64
+        assert fv.shape == (512,)
+        assert fv[0] == 1.0 and fv[511] == 1.0
+        assert fv.sum() == 2.0
 
     def test_concat_slicing_recovers_blocks(self):
         rng = np.random.default_rng(53)
-        a = rng.random(256)
-        a /= a.sum()
-        b = rng.random(256)
-        b /= b.sum()
-        fv = concat(FeatureVector(FeatureKind.LBP, a), FeatureVector(FeatureKind.GRAY, b))
-        assert np.array_equal(fv.values[:256], a)
-        assert np.array_equal(fv.values[256:], b)
-
-    def test_concat_rejects_wrong_kinds(self):
-        a = FeatureVector(FeatureKind.LBP, np.full(256, 1 / 256))
-        with pytest.raises(ValueError):
-            concat(a, a)
-
-    def test_feature_vector_length_enforced(self):
-        with pytest.raises(ValueError):
-            FeatureVector(FeatureKind.CONCAT, np.full(256, 1 / 256))
+        img = GrayImage(rng.integers(0, 256, size=(9, 8)))
+        fv = extract_feature(img, FeatureKind.CONCAT, Comparator.GREATER_EQUAL)
+        lbp = normalize_l1(lbp_histogram(lbp_transform(img, Comparator.GREATER_EQUAL)))
+        assert np.array_equal(fv[:256], lbp)
+        assert np.array_equal(fv[256:], normalize_l1(gray_histogram(img)))
 
 
 class TestExtractAndSerialize:
@@ -193,25 +176,20 @@ class TestExtractAndSerialize:
         lbp = extract_feature(img, FeatureKind.LBP)
         gray = extract_feature(img, FeatureKind.GRAY)
         both = extract_feature(img, FeatureKind.CONCAT)
-        assert abs(lbp.values.sum() - 1.0) < 1e-9
-        assert abs(gray.values.sum() - 1.0) < 1e-9
-        assert abs(both.values.sum() - 2.0) < 1e-9
-        assert np.array_equal(both.values, np.concatenate([lbp.values, gray.values]))
+        assert lbp.shape == gray.shape == (256,)
+        assert abs(lbp.sum() - 1.0) < 1e-9
+        assert abs(gray.sum() - 1.0) < 1e-9
+        assert abs(both.sum() - 2.0) < 1e-9
+        assert np.array_equal(both, np.concatenate([lbp, gray]))
 
     def test_format_parse_roundtrip_exact(self):
+        # 17 significant digits: every value reads back exactly
         rng = np.random.default_rng(61)
-        for kind in (FeatureKind.LBP, FeatureKind.GRAY):
-            v = rng.random(256)
+        for kind in (FeatureKind.LBP, FeatureKind.GRAY, FeatureKind.CONCAT):
+            v = rng.random(512 if kind is FeatureKind.CONCAT else 256)
             v /= v.sum()
-            fv = FeatureVector(kind, v)
-            again = parse_feature(format_feature(fv))
-            assert again.kind is kind
-            assert np.array_equal(again.values, fv.values)
-
-    def test_parse_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            parse_feature("spectral,1.0,2.0")
-
-    def test_parse_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            parse_feature("lbp,0.5,0.5")
+            tokens = format_feature(kind, v).split(",")
+            assert tokens[0] == kind.value
+            assert len(tokens) == 1 + v.shape[0]
+            for token, value in zip(tokens[1:], v):
+                assert float(token) == value

@@ -2,7 +2,8 @@
 
 Every sample is held out once: the image is resized to the working
 resolution, the requested feature extracted, a model trained on all other
-samples, and the held-out sample predicted. Accuracies are kept as exact
+samples, and the held-out sample predicted. The folds of one feature table
+are solved together (`classifier.solve_folds`). Accuracies are kept as exact
 integer ratios; rendering to percent (one decimal, round-half-up, optional
 decimal comma) happens only at the output boundary.
 """
@@ -13,18 +14,11 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classifier import (
-    LABEL_ADULTERATED,
-    LABEL_NORMAL,
-    SolverConfig,
-    decision_value,
-    predict,
-    train_csvc,
-)
+from .classifier import LABEL_ADULTERATED, LABEL_NORMAL, SolverConfig, solve_folds
 from .dataset import LabeledDataset
 from .features import Comparator, FeatureKind, extract_feature
 from .imagecore import Resolution, resize_bilinear
@@ -47,6 +41,7 @@ DEFAULT_SWEEP_RESOLUTIONS = tuple(
     )
 )
 DEFAULT_RESOLUTION = Resolution(300, 225)
+SWEEP_KINDS = (FeatureKind.LBP, FeatureKind.GRAY, FeatureKind.CONCAT)
 
 
 @dataclass(frozen=True)
@@ -91,22 +86,8 @@ class EvalReport:
 class SweepRow:
     resolution: Resolution
     n: int
-    lbp_correct: int
-    gray_correct: int
-    concat_correct: int
+    correct: Mapping[FeatureKind, int]  # per kind of `SWEEP_KINDS`
     unconverged: int  # over the row's folds of all three kinds; not rendered
-
-    @property
-    def acc_lbp(self) -> float:
-        return self.lbp_correct / self.n
-
-    @property
-    def acc_gray(self) -> float:
-        return self.gray_correct / self.n
-
-    @property
-    def acc_concat(self) -> float:
-        return self.concat_correct / self.n
 
 
 @dataclass(frozen=True)
@@ -164,13 +145,22 @@ def _feature_tables(
     """
     if len(data) < 3:
         raise ValueError("dataset needs at least 3 entries")
-    if {e.label for e in data.entries} != {LABEL_ADULTERATED, LABEL_NORMAL}:
+    labels = [e.label for e in data.entries]
+    if set(labels) != {LABEL_ADULTERATED, LABEL_NORMAL}:
         raise ValueError("dataset must contain both labels")
     for e in data.entries:
         if e.image is None:
             raise ValueError(f"entry {e.sample_id!r} has no decoded image")
     if target.width < 3 or target.height < 3:
         raise ValueError("evaluation resolutions must be at least 3x3")
+    # holding out the only sample of its class leaves a one-class training set
+    _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
+    if (sizes == 1).any():
+        lone = data.entries[first[sizes == 1].min()]
+        raise ValueError(
+            f"fold holding out {lone.sample_id!r} is untrainable: "
+            "training set must contain both labels"
+        )
     base: dict[FeatureKind, list[np.ndarray]] = {
         kind: []
         for kind in (FeatureKind.LBP, FeatureKind.GRAY)
@@ -186,32 +176,33 @@ def _feature_tables(
     return {kind: tables[kind] for kind in kinds}
 
 
+def _predicted_label(decision: float) -> int:
+    """+1 (adulterated) when the decision value is >= 0, else -1 (normal).
+
+    A decision value of exactly zero deliberately maps to +1: in a fraud
+    screen the conservative error is a false alarm.
+    """
+    return LABEL_ADULTERATED if decision >= 0.0 else LABEL_NORMAL
+
+
 def _folds_from_table(
     data: LabeledDataset, features: np.ndarray, cfg: SolverConfig | None
 ) -> tuple[FoldResult, ...]:
-    """Hold out each row of a prebuilt feature matrix in turn."""
+    """Hold out each row of a prebuilt feature matrix; all folds solve together."""
     labels = np.array([e.label for e in data.entries])
-    keep = np.ones(len(data), dtype=bool)
-    folds = []
-    for i, entry in enumerate(data.entries):
-        keep[i] = False
-        try:
-            model = train_csvc(features[keep], labels[keep], cfg)
-        except ValueError as exc:
-            raise ValueError(
-                f"fold holding out {entry.sample_id!r} is untrainable: {exc}"
-            ) from None
-        keep[i] = True
-        folds.append(
-            FoldResult(
-                held_out_id=entry.sample_id,
-                true_label=entry.label,
-                predicted_label=predict(model, features[i]),
-                decision=decision_value(model, features[i]),
-                converged=model.converged,
-            )
+    solution = solve_folds(features, labels, np.arange(len(data)), cfg)
+    return tuple(
+        FoldResult(
+            held_out_id=entry.sample_id,
+            true_label=entry.label,
+            predicted_label=_predicted_label(decision),
+            decision=decision,
+            converged=converged,
         )
-    return tuple(folds)
+        for entry, decision, converged in zip(
+            data.entries, solution.decisions.tolist(), solution.converged.tolist()
+        )
+    )
 
 
 def loocv_folds(
@@ -250,28 +241,25 @@ def resolution_sweep(
 ) -> SweepReport:
     """Leave-one-out accuracy of all three feature kinds per resolution.
 
-    Each (resolution, image) pair is resized and histogrammed once; the
-    three kinds' folds slice the same per-resolution feature table.
+    Each (resolution, image) pair is resized and histogrammed once; each
+    kind's table of the row then has all its folds solved together.
     """
     if not resolutions:
         raise ValueError("at least one resolution is required")
     if len(set(resolutions)) != len(resolutions):
         raise ValueError("duplicate resolutions are not allowed")
-    kinds = (FeatureKind.LBP, FeatureKind.GRAY, FeatureKind.CONCAT)
     rows = []
     for res in resolutions:
-        tables = _feature_tables(data, kinds, res, cmp)
+        tables = _feature_tables(data, SWEEP_KINDS, res, cmp)
         reports = {
-            kind: build_report(_folds_from_table(data, tables[kind], cfg), kind)
-            for kind in kinds
+            kind: build_report(_folds_from_table(data, table, cfg), kind)
+            for kind, table in tables.items()
         }
         rows.append(
             SweepRow(
                 resolution=res,
                 n=len(data),
-                lbp_correct=reports[FeatureKind.LBP].correct,
-                gray_correct=reports[FeatureKind.GRAY].correct,
-                concat_correct=reports[FeatureKind.CONCAT].correct,
+                correct={kind: r.correct for kind, r in reports.items()},
                 unconverged=sum(r.unconverged for r in reports.values()),
             )
         )
@@ -347,9 +335,10 @@ def sweep_to_json(report: SweepReport, decimal_comma: bool = False) -> str:
                 "width": row.resolution.width,
                 "height": row.resolution.height,
                 "n": row.n,
-                "lbp": _class_block(row.lbp_correct, row.n, decimal_comma),
-                "gray": _class_block(row.gray_correct, row.n, decimal_comma),
-                "concat": _class_block(row.concat_correct, row.n, decimal_comma),
+                **{
+                    kind.value: _class_block(row.correct[kind], row.n, decimal_comma)
+                    for kind in SWEEP_KINDS
+                },
             }
         )
     return json.dumps({"rows": rows}, indent=2) + "\n"
@@ -359,8 +348,6 @@ def sweep_to_table(report: SweepReport) -> str:
     """Comma-separated sweep table: width,height,acc_lbp,acc_gray,acc_concat."""
     lines = ["width,height,acc_lbp,acc_gray,acc_concat"]
     for row in report.rows:
-        lines.append(
-            f"{row.resolution.width},{row.resolution.height},"
-            f"{row.acc_lbp!r},{row.acc_gray!r},{row.acc_concat!r}"
-        )
+        accuracies = ",".join(repr(row.correct[kind] / row.n) for kind in SWEEP_KINDS)
+        lines.append(f"{row.resolution.width},{row.resolution.height},{accuracies}")
     return "\n".join(lines) + "\n"

@@ -2,11 +2,13 @@
 
 The oracles deliberately avoid the library's code paths: the LBP reference
 walks pixels one by one in pure Python, the separator searches enumerate
-candidate geometries exhaustively.
+candidate geometries exhaustively, and the LOOCV reference trains one fold
+at a time with the per-fold dual solver the batched one replaced.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -47,6 +49,128 @@ def lbp_reference(pixels, strict=True):
             row.append(code)
         out.append(row)
     return out
+
+
+@dataclass(eq=False)
+class DualSolution:
+    """Solver state at termination, kept for feasibility checks."""
+
+    alpha: np.ndarray
+    weights: np.ndarray
+    passes: int
+    converged: bool
+    max_violation: float
+
+
+def projected_gradient(features, labels, alpha, weights, c):
+    """Per-sample optimality violation of the box-constrained dual.
+
+    The gradient of the dual objective in -alpha_i direction is
+    g_i = y_i * (w.x_i) - 1; at the box bounds only the infeasible sign
+    counts.
+    """
+    g = labels * (features @ weights) - 1.0
+    return np.where(
+        alpha <= 0.0, np.minimum(g, 0.0), np.where(alpha >= c, np.maximum(g, 0.0), g)
+    )
+
+
+def solve_dual(features, labels, cfg):
+    """Run fixed-order coordinate descent on the dual until convergence or cap."""
+    x = np.ascontiguousarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    n = x.shape[0]
+    xy = x * y[:, None]  # row i is y_i * x_i
+    q_diag = np.einsum("ij,ij->i", x, x)
+    alpha = np.zeros(n)
+    w = np.zeros(x.shape[1])
+    c = cfg.c
+
+    passes = 0
+    converged = False
+    max_violation = np.inf
+    while passes < cfg.max_outer_iterations:
+        for i in range(n):
+            g = float(xy[i] @ w) - 1.0
+            a = alpha[i]
+            if a <= 0.0 and g >= 0.0:
+                continue
+            if a >= c and g <= 0.0:
+                continue
+            if q_diag[i] > 0.0:
+                new = min(max(a - g / q_diag[i], 0.0), c)
+            else:
+                # zero feature vector: the objective is linear in alpha_i
+                new = c if g < 0.0 else 0.0
+            if new != a:
+                w += (new - a) * xy[i]
+                alpha[i] = new
+        passes += 1
+        max_violation = float(np.abs(projected_gradient(x, labels, alpha, w, c)).max())
+        if max_violation <= cfg.tolerance:
+            converged = True
+            break
+    return DualSolution(alpha, w, passes, converged, max_violation)
+
+
+def _bias_from_margins(features, labels, alpha, weights, c):
+    margins = features @ weights
+    free = (alpha > 0.0) & (alpha < c)
+    if np.any(free):
+        return float(np.mean(labels[free] - margins[free]))
+    # every alpha sits at a bound; take the midpoint of the bias interval the
+    # margin inequalities allow
+    lower = -np.inf
+    upper = np.inf
+    at_zero = alpha <= 0.0
+    at_c = alpha >= c
+    pos = labels > 0
+    lower_candidates = np.concatenate(
+        [1.0 - margins[at_zero & pos], -1.0 - margins[at_c & ~pos]]
+    )
+    upper_candidates = np.concatenate(
+        [-1.0 - margins[at_zero & ~pos], 1.0 - margins[at_c & pos]]
+    )
+    if lower_candidates.size:
+        lower = float(lower_candidates.max())
+    if upper_candidates.size:
+        upper = float(upper_candidates.min())
+    if np.isinf(lower) and np.isinf(upper):
+        return 0.0
+    if np.isinf(lower):
+        return upper
+    if np.isinf(upper):
+        return lower
+    return (lower + upper) / 2.0
+
+
+@dataclass(frozen=True)
+class ReferenceFold:
+    passes: int
+    converged: bool
+    predicted_label: int
+    decision: float
+
+
+def loocv_reference(features, labels, cfg):
+    """Per-fold LOOCV: train on every row but one with `solve_dual`, in turn.
+
+    A decision value of exactly zero maps to +1, as in the package.
+    """
+    labels = np.asarray(labels)
+    keep = np.ones(len(labels), dtype=bool)
+    folds = []
+    for i in range(len(labels)):
+        keep[i] = False
+        x, y = features[keep], labels[keep]
+        solution = solve_dual(x, y, cfg)
+        bias = _bias_from_margins(x, y, solution.alpha, solution.weights, cfg.c)
+        keep[i] = True
+        decision = float(solution.weights @ features[i] + bias)
+        folds.append(
+            ReferenceFold(solution.passes, solution.converged, 1 if decision >= 0.0 else -1, decision)
+        )
+    return folds
 
 
 def best_linear_accuracy_2d(points, labels):

@@ -2,19 +2,24 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import best_linear_accuracy_2d, max_margin_separator_2d, random_separable_set
-from texscreen.classifier import (
-    LinearModel,
-    SolverConfig,
-    decision_value,
-    predict,
-    projected_gradient,
-    solve_dual,
-    train_csvc,
+from conftest import (
+    best_linear_accuracy_2d,
+    loocv_reference,
+    max_margin_separator_2d,
+    random_separable_set,
 )
+from texscreen.classifier import SolverConfig, projected_gradient, solve_folds, train_csvc
+from texscreen.evaluation import _feature_tables, _predicted_label
+from texscreen.features import Comparator, FeatureKind
+from texscreen.imagecore import Resolution
+
 XOR_POINTS = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
 XOR_LABELS = np.array([-1, -1, 1, 1])
+KINDS = (FeatureKind.LBP, FeatureKind.GRAY, FeatureKind.CONCAT)
 
 
 def _train(points, labels, cfg=None):
@@ -25,8 +30,28 @@ def _decisions(model, points):
     return np.asarray(points, dtype=float) @ model.weights + model.bias
 
 
-def _dual_objective(alpha, weights):
-    return alpha.sum() - 0.5 * float(weights @ weights)
+def _loo(x, y, cfg=None):
+    """Every leave-one-out fold of (x, y), solved together."""
+    return solve_folds(x, y, np.arange(len(y)), cfg)
+
+
+def _weights(x, y, sol):
+    """(folds, d): w_f = sum_j alpha_fj y_j x_j."""
+    return (sol.alpha * y) @ x
+
+
+def _violations(y, sol, c):
+    """Each fold's largest projected-gradient violation over its training samples."""
+    pg = np.abs(projected_gradient(y * sol.margins - 1.0, sol.alpha, c))
+    training = sol.held_out[:, None] != np.arange(len(y))
+    return np.where(training, pg, 0.0).max(axis=1)
+
+
+def _random_problem(rng, n, d):
+    x = rng.normal(size=(n, d))
+    y = np.where(rng.random(n) < 0.5, 1, -1)
+    y[0], y[1], y[2], y[3] = 1, -1, 1, -1  # every fold keeps both labels
+    return x, y
 
 
 class TestTrainCsvc:
@@ -47,9 +72,9 @@ class TestTrainCsvc:
         rng = np.random.default_rng(67)
         x = rng.normal(size=(10, 4))
         y = np.where(np.arange(10) % 3 == 0, 1, -1)
-        m_pos = _train(x, y)
-        m_neg = _train(x, -y)
-        assert np.abs(_decisions(m_pos, x) + _decisions(m_neg, x)).max() <= 1e-6
+        pos, neg = _loo(x, y), _loo(x, -y)
+        assert np.array_equal(pos.passes, neg.passes)
+        assert np.abs(pos.decisions + neg.decisions).max() <= 1e-6
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="training set must contain both labels"):
@@ -79,7 +104,8 @@ class TestTrainCsvc:
         b[7] = 1.0
         model = train_csvc(np.stack([a, b]), [-1, 1])
         assert model.weights.shape == (256,)
-        assert predict(model, a) == -1 and predict(model, b) == 1
+        d = _decisions(model, [a, b])
+        assert d[0] < 0 <= d[1]
 
 
 class TestSolver:
@@ -87,35 +113,31 @@ class TestSolver:
         rng = np.random.default_rng(71)
         cfg = SolverConfig()
         for _ in range(10):
-            x = rng.normal(size=(12, 3))
-            y = np.where(rng.random(12) < 0.5, 1, -1)
-            y[0], y[1] = 1, -1
-            sol = solve_dual(x, y, cfg)
+            x, y = _random_problem(rng, 12, 3)
+            sol = _loo(x, y, cfg)
             assert (sol.alpha >= 0.0).all() and (sol.alpha <= cfg.c).all()
-            pg = projected_gradient(x, y, sol.alpha, sol.weights, cfg.c)
-            if sol.converged:
-                assert np.abs(pg).max() <= cfg.tolerance
+            assert sol.converged.any()
+            assert (_violations(y, sol, cfg.c)[sol.converged] <= cfg.tolerance).all()
 
     def test_objective_nondecreasing_across_passes(self):
         rng = np.random.default_rng(73)
-        x = rng.normal(size=(8, 2))
-        y = np.where(rng.random(8) < 0.5, 1, -1)
-        y[0], y[1] = 1, -1
+        x, y = _random_problem(rng, 8, 2)
         values = []
         for passes in range(1, 12):
-            cfg = SolverConfig(max_outer_iterations=passes)
-            sol = solve_dual(x, y, cfg)
-            values.append(_dual_objective(sol.alpha, sol.weights))
-            if sol.converged:
+            sol = _loo(x, y, SolverConfig(max_outer_iterations=passes))
+            w = _weights(x, y, sol)
+            values.append(sol.alpha.sum(axis=1) - 0.5 * np.einsum("fd,fd->f", w, w))
+            if sol.converged.all():
                 break
         for before, after in zip(values, values[1:]):
-            assert after >= before - 1e-12
+            assert (after >= before - 1e-12).all()
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(79)
-        x = rng.normal(size=(15, 5))
-        y = np.where(rng.random(15) < 0.4, 1, -1)
-        y[0], y[1] = 1, -1
+        x, y = _random_problem(rng, 15, 5)
+        s1, s2 = _loo(x, y), _loo(x.copy(), y.copy())
+        for field in ("alpha", "margins", "bias", "passes", "converged"):
+            assert np.array_equal(getattr(s1, field), getattr(s2, field))
         m1, m2 = _train(x, y), _train(x.copy(), y.copy())
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
@@ -141,68 +163,138 @@ class TestSolver:
         # exact for power-of-two scales: all intermediate arithmetic maps
         # one-to-one between the scaled and unscaled trajectories
         rng = np.random.default_rng(89)
-        x = rng.normal(size=(12, 4))
-        y = np.where(rng.random(12) < 0.5, 1, -1)
-        y[0], y[1] = 1, -1
-        base = _train(x, y, SolverConfig(c=1.0))
+        x, y = _random_problem(rng, 12, 4)
+        base = _loo(x, y, SolverConfig(c=1.0))
         for s in (2.0, 0.5):
-            scaled = _train(x * s, y, SolverConfig(c=1.0 / (s * s)))
-            d_base = _decisions(base, x)
-            d_scaled = _decisions(scaled, x * s)
+            scaled = _loo(x * s, y, SolverConfig(c=1.0 / (s * s)))
+            assert np.array_equal(base.passes, scaled.passes)
             assert np.array_equal(
-                np.where(d_base >= 0, 1, -1), np.where(d_scaled >= 0, 1, -1)
+                np.where(base.decisions >= 0, 1, -1), np.where(scaled.decisions >= 0, 1, -1)
             )
-            assert np.allclose(d_base, d_scaled, atol=1e-12)
+            assert np.allclose(base.decisions, scaled.decisions, atol=1e-12)
 
     def test_zero_feature_row_is_handled(self):
-        x = np.array([[0.0, 0.0], [1.0, 0.5]])
-        y = np.array([-1, 1])
-        sol = solve_dual(x, y, SolverConfig())
-        assert 0.0 <= sol.alpha[0] <= 1.0
-        assert np.isfinite(sol.weights).all()
+        x = np.array([[0.0, 0.0], [1.0, 0.5], [0.0, 0.0], [0.5, 1.0]])
+        y = np.array([-1, 1, 1, -1])
+        for held_out in (np.array([4]), np.arange(4)):
+            sol = solve_folds(x, y, held_out)
+            assert ((sol.alpha >= 0.0) & (sol.alpha <= 1.0)).all()
+            assert np.isfinite(sol.margins).all() and np.isfinite(sol.bias).all()
+            assert (_violations(y, sol, 1.0)[sol.converged] <= 1e-6).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_fold_feasible_property(self, data):
+        n = data.draw(st.integers(3, 12), label="n")
+        d = data.draw(st.integers(1, 6), label="d")
+        # few distinct values, so zero and duplicate rows are common
+        x = data.draw(hnp.arrays(np.float64, (n, d), elements=st.sampled_from([0.0, 0.5, -1.0, 2.0])))
+        y = np.array(data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
+        cfg = SolverConfig(c=data.draw(st.sampled_from([0.1, 1.0, 10.0]), label="c"))
+        sol = _loo(x, y, cfg)
+        assert ((sol.alpha >= 0.0) & (sol.alpha <= cfg.c)).all()
+        assert (sol.alpha[np.arange(n), np.arange(n)] == 0.0).all()
+        assert (_violations(y, sol, cfg.c)[sol.converged] <= cfg.tolerance).all()
+        assert ((sol.passes >= 1) & (sol.passes <= cfg.max_outer_iterations)).all()
+        assert sol.converged[sol.passes < cfg.max_outer_iterations].all()
+
+
+class TestPerFoldReference:
+    """The batched folds against the per-fold solver they replace."""
+
+    def _check(self, x, y, cfg):
+        sol = _loo(x, y, cfg)
+        ref = loocv_reference(x, y, cfg)
+        assert sol.passes.tolist() == [f.passes for f in ref]
+        assert sol.converged.tolist() == [f.converged for f in ref]
+        assert [_predicted_label(d) for d in sol.decisions] == [f.predicted_label for f in ref]
+        assert np.abs(sol.decisions - [f.decision for f in ref]).max() <= 1e-12
+        return sol
+
+    def _tables(self, dataset, kinds, target):
+        return _feature_tables(dataset, kinds, target, Comparator.STRICT_GREATER)
+
+    @pytest.mark.parametrize("target", [Resolution(64, 48), Resolution(50, 37)])
+    def test_default_config_every_kind(self, synthetic_benchmark, target):
+        y = np.array([e.label for e in synthetic_benchmark.entries])
+        for x in self._tables(synthetic_benchmark, KINDS, target).values():
+            self._check(x, y, SolverConfig())
+
+    def test_loocv_solver_settings(self, synthetic_benchmark):
+        y = np.array([e.label for e in synthetic_benchmark.entries])
+        tables = self._tables(
+            synthetic_benchmark, (FeatureKind.LBP, FeatureKind.CONCAT), Resolution(64, 48)
+        )
+        for x in tables.values():
+            sol = self._check(x, y, SolverConfig(c=10.0, max_outer_iterations=1000))
+            assert sol.converged.all() and sol.passes.max() > 100
+
+    def test_pass_cap_hit(self, synthetic_benchmark):
+        y = np.array([e.label for e in synthetic_benchmark.entries])
+        x = self._tables(synthetic_benchmark, (FeatureKind.LBP,), Resolution(64, 48))[
+            FeatureKind.LBP
+        ]
+        sol = self._check(x, y, SolverConfig(c=10.0, max_outer_iterations=1))
+        assert not sol.converged.any()
+
+    def test_zero_feature_rows(self, synthetic_benchmark):
+        y = np.array([e.label for e in synthetic_benchmark.entries])
+        x = self._tables(synthetic_benchmark, (FeatureKind.GRAY,), Resolution(64, 48))[
+            FeatureKind.GRAY
+        ].copy()
+        x[[3, 17, 30]] = 0.0
+        for cfg in (SolverConfig(), SolverConfig(c=10.0, max_outer_iterations=1000)):
+            self._check(x, y, cfg)
+
+
+    def test_bias_interval_bounded_on_one_side(self):
+        # no free support vector and, per fold, only upper (then, with the
+        # labels negated, only lower) bias bounds: the bias is that bound
+        x = np.array([[0.1], [0.2], [-100.0], [-200.0], [0.15]])
+        y = np.array([1, 1, -1, -1, 1])
+        cfg = SolverConfig(c=0.1)
+        for labels in (y, -y):
+            sol = self._check(x, labels, cfg)
+            assert ((sol.alpha == 0.0) | (sol.alpha == cfg.c)).all()
 
 
 class TestPredictAndSerialize:
-    def _model(self, weights, bias):
-        return LinearModel(np.asarray(weights, dtype=float), bias)
-
     def test_constant_model(self):
-        m = self._model(np.zeros(256), 0.5)
-        assert decision_value(m, np.full(256, 1 / 256)) == 0.5
+        # zero features give every fold zero weights: its decision is its bias
+        x = np.zeros((6, 3))
+        y = np.array([1, -1, 1, -1, 1, -1])
+        sol = _loo(x, y, SolverConfig(c=2.0))
+        assert (sol.margins == 0.0).all()
+        assert np.array_equal(sol.decisions, sol.bias)
 
     def test_coordinate_projection(self):
-        w = np.zeros(256)
-        w[17] = 1.0
-        m = self._model(w, 0.0)
-        v = np.zeros(256)
-        v[17] = 0.25
-        assert decision_value(m, v) == 0.25
+        # the decision read from G equals w_f . x_f + b_f with w_f built from alpha
+        rng = np.random.default_rng(97)
+        x, y = _random_problem(rng, 12, 5)
+        sol = _loo(x, y, SolverConfig(c=10.0))
+        w = _weights(x, y, sol)
+        assert np.abs(sol.margins - w @ x.T).max() <= 1e-12
+        assert np.abs(sol.decisions - (np.einsum("fd,fd->f", w, x) + sol.bias)).max() <= 1e-12
 
     def test_linearity_in_x(self):
-        rng = np.random.default_rng(97)
-        w = rng.normal(size=256)
-        m = self._model(w, 0.0)
-        v = rng.random(256)
-        d1 = decision_value(m, v)
-        d2 = decision_value(m, 2 * v)
-        assert d2 == 2 * d1
+        # a fold never reads its held-out row, so scaling that row by 2 scales
+        # only w_f . x_f, exactly
+        rng = np.random.default_rng(101)
+        x, y = _random_problem(rng, 10, 4)
+        base = _loo(x, y)
+        for k in (0, 5, 9):
+            doubled = x.copy()
+            doubled[k] *= 2.0
+            fold = solve_folds(doubled, y, np.array([k]))
+            assert np.array_equal(fold.alpha[0], base.alpha[k])
+            assert fold.bias[0] == base.bias[k]
+            assert fold.decisions[0] - fold.bias[0] == 2.0 * (base.decisions[k] - base.bias[k])
 
     def test_sign_rule_and_tie(self):
-        x = np.full(256, 1 / 256)
-        assert predict(self._model(np.zeros(256), 3.2), x) == 1
-        assert predict(self._model(np.zeros(256), -0.1), x) == -1
-        assert predict(self._model(np.zeros(256), 0.0), x) == 1
-
-    def test_dimension_mismatch_rejected(self):
-        m = self._model(np.zeros(2), 0.0)
-        with pytest.raises(ValueError, match="model expects 2 values, got 256"):
-            decision_value(m, np.full(256, 1 / 256))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_features_rejected(self, bad):
-        m = self._model([0.0, 1.0], 0.0)
-        with pytest.raises(ValueError, match="feature values must be finite"):
-            predict(m, np.array([0.5, bad]))
+        assert _predicted_label(3.2) == 1
+        assert _predicted_label(-0.1) == -1
+        assert _predicted_label(0.0) == 1
+        assert _predicted_label(-0.0) == 1
 
 
 class TestSolverConfig:

@@ -354,7 +354,7 @@ class TestFailurePaths:
         code = main(["loocv", "--manifest", str(manifest)])
         assert code in (EXIT_INVALID_DATA, EXIT_UNREADABLE)
 
-    def test_untrainable_fold_exits_processing(self, tmp_path):
+    def test_untrainable_fold_exits_processing(self, tmp_path, capsys):
         bench = _synth(tmp_path)
         manifest_lines = (bench / "manifest.csv").read_text().splitlines()
         # keep two normals and one adulterated: its fold is single-class
@@ -378,6 +378,14 @@ class TestFailurePaths:
             ]
         )
         assert code == EXIT_PROCESSING
+        lone = adulterated[0].split(",")[0]
+        message = (
+            f"texscreen: fold holding out {lone!r} is untrainable: "
+            "training set must contain both labels\n"
+        )
+        assert capsys.readouterr().err == message
+        assert main(["sweep", "--manifest", str(trimmed), "--resolutions", "16x12"]) == EXIT_PROCESSING
+        assert capsys.readouterr().err == message
 
     def test_unknown_flag_value_exits_usage(self, tmp_path):
         with pytest.raises(SystemExit) as err:

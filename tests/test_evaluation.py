@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from texscreen.classifier import SolverConfig, predict, train_csvc
+from texscreen.classifier import SolverConfig, train_csvc
 from texscreen.dataset import DatasetEntry, LabeledDataset
 from texscreen.evaluation import (
     DEFAULT_SWEEP_RESOLUTIONS,
@@ -140,6 +140,20 @@ class TestLoocv:
         with pytest.raises(ValueError, match="untrainable"):
             loocv(three, FeatureKind.GRAY, Resolution(8, 8))
 
+    def test_untrainable_fold_is_named(self):
+        # the only adulterated entry sits in the middle of the dataset
+        e = _tiny_dataset(n_pairs=3).entries
+        lone = LabeledDataset((e[0], e[2], e[3], e[4]))
+        assert [x.label for x in lone.entries] == [-1, -1, 1, -1]
+        message = (
+            "fold holding out 'checker-1' is untrainable: "
+            "training set must contain both labels"
+        )
+        for run in _LOOCV_RUNS:
+            with pytest.raises(ValueError) as info:
+                run(lone)
+            assert str(info.value) == message
+
     def test_target_below_lbp_minimum_rejected(self):
         data = _tiny_dataset()
         with pytest.raises(ValueError, match="at least 3x3"):
@@ -161,9 +175,8 @@ class TestLoocv:
             ]
             labels = [e.label for e in dataset.entries]
             model = train_csvc(np.stack(vectors), labels, SolverConfig())
-            resub = sum(
-                1 for fv, y in zip(vectors, labels) if predict(model, fv) == y
-            ) / len(labels)
+            predictions = np.where(np.stack(vectors) @ model.weights + model.bias >= 0, 1, -1)
+            resub = np.mean(predictions == labels)
             cv = loocv(dataset, kind, target).global_accuracy
             assert resub >= cv
 
@@ -193,9 +206,7 @@ class TestFeatureTable:
         dataset = synthetic_benchmark
         target = Resolution(50, 37)
         row = resolution_sweep(dataset, [target]).rows[0]
-        assert (row.lbp_correct, row.gray_correct, row.concat_correct) == tuple(
-            loocv(dataset, kind, target).correct for kind in self.KINDS
-        )
+        assert row.correct == {kind: loocv(dataset, kind, target).correct for kind in self.KINDS}
 
 
 class TestSweep:
@@ -204,8 +215,9 @@ class TestSweep:
         report = resolution_sweep(data, [Resolution(8, 8)])
         assert len(report.rows) == 1
         row = report.rows[0]
-        for acc in (row.acc_lbp, row.acc_gray, row.acc_concat):
-            assert 0.0 <= acc <= 1.0
+        assert list(row.correct) == [FeatureKind.LBP, FeatureKind.GRAY, FeatureKind.CONCAT]
+        for correct in row.correct.values():
+            assert 0 <= correct <= row.n
 
     def test_rows_follow_request_order(self):
         data = _tiny_dataset(n_pairs=2)

@@ -38,17 +38,9 @@ class FeatureKind(str, Enum):
     CONCAT = "concat"
 
 
-# (row offset, column offset, bit) for the eight neighbors, NW first then clockwise
-_NEIGHBOR_BITS = (
-    (-1, -1, 7),
-    (-1, 0, 6),
-    (-1, 1, 5),
-    (0, 1, 4),
-    (1, 1, 3),
-    (1, 0, 2),
-    (1, -1, 1),
-    (0, -1, 0),
-)
+# (row offset, column offset) of the eight neighbors, most significant bit
+# first: NW=7, then clockwise down to W=0
+_NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
 
 
 def lbp_transform(img: GrayImage, cmp: Comparator = Comparator.STRICT_GREATER) -> np.ndarray:
@@ -57,7 +49,8 @@ def lbp_transform(img: GrayImage, cmp: Comparator = Comparator.STRICT_GREATER) -
     Requires at least a 3x3 image; the result is an (H-2, W-2) uint8
     array. Codes depend only on the sign of neighbor-minus-center
     differences, so adding a constant to every pixel leaves the result
-    unchanged.
+    unchanged. Codes are accumulated most significant bit first, from one
+    reusable comparison buffer.
     """
     p = img.pixels
     h, w = p.shape
@@ -65,11 +58,13 @@ def lbp_transform(img: GrayImage, cmp: Comparator = Comparator.STRICT_GREATER) -
         raise ValueError("LBP needs an image of at least 3x3 pixels")
     center = p[1 : h - 1, 1 : w - 1]
     codes = np.zeros((h - 2, w - 2), dtype=np.uint8)
-    strict = cmp is Comparator.STRICT_GREATER
-    for dy, dx, bit in _NEIGHBOR_BITS:
-        neighbor = p[1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx]
-        hits = neighbor > center if strict else neighbor >= center
-        codes |= hits.astype(np.uint8) << np.uint8(bit)
+    hits = np.empty((h - 2, w - 2), dtype=bool)
+    compare = np.greater if cmp is Comparator.STRICT_GREATER else np.greater_equal
+    # doubling shifts the bits set so far up by one before the next lands in bit 0
+    for dy, dx in _NEIGHBORS:
+        compare(p[1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx], center, out=hits)
+        codes += codes
+        codes |= hits.view(np.uint8)
     return codes
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+# float64 values per row block of the resize passes: 64 KiB
+_ROW_BLOCK = 8192
 
 
 class PnmDecodeError(ValueError):
@@ -191,10 +193,13 @@ def to_grayscale(img: RgbImage) -> GrayImage:
 
     Computed in exact integer milli-weights with decimal round-half-up,
     so (v, v, v) maps to v for every v. The weights sum to one, hence the
-    result always lands in [0, 255].
+    result always lands in [0, 255]. The sum peaks at 255,500, so it is
+    accumulated one channel at a time in uint32.
     """
-    p = img.pixels.astype(np.int64)
-    luma = (299 * p[..., 0] + 587 * p[..., 1] + 114 * p[..., 2] + 500) // 1000
+    p = img.pixels
+    luma = p[..., 0] * np.uint32(299) + p[..., 1] * np.uint32(587)
+    luma += p[..., 2] * np.uint32(114) + 500
+    luma //= 1000
     return GrayImage(luma)
 
 
@@ -204,9 +209,11 @@ def resize_bilinear(img: GrayImage, target: Resolution) -> GrayImage:
     Destination pixel (x, y) samples the source at
     ((x + 0.5) * W_src / W_dst - 0.5, (y + 0.5) * H_src / H_dst - 0.5),
     clamped to the source extent; interpolated values are rounded half-up.
-    Resizing to the source resolution is the identity.
+    Resizing to the source resolution is the identity. Both passes run in
+    blocks of rows small enough that their temporaries come from the heap
+    rather than from fresh, page-faulting memory maps.
     """
-    src = img.pixels.astype(np.float64)
+    src = img.pixels
     h_src, w_src = src.shape
 
     sx = ((np.arange(target.width) + 0.5) * w_src) / target.width - 0.5
@@ -221,10 +228,22 @@ def resize_bilinear(img: GrayImage, target: Resolution) -> GrayImage:
     x1 = np.minimum(x0 + 1, w_src - 1)
     y1 = np.minimum(y0 + 1, h_src - 1)
 
-    # separable: interpolate along x once per source row, then blend rows
-    rows = src[:, x0] * (1.0 - fx) + src[:, x1] * fx
-    values = rows[y0] * (1.0 - fy[:, None]) + rows[y1] * fy[:, None]
-
-    out = np.floor(values + 0.5)
-    np.clip(out, 0.0, 255.0, out=out)
-    return GrayImage(out.astype(np.int64))
+    # separable: interpolate along x once per source row, then blend rows,
+    # rounding each block in place into the uint8 output
+    step = max(1, _ROW_BLOCK // target.width)
+    rows = np.empty((h_src, target.width))
+    for r in range(0, h_src, step):
+        b = slice(r, r + step)
+        np.multiply(src[b, x0], 1.0 - fx, out=rows[b])
+        rows[b] += src[b, x1] * fx
+    out = np.empty((target.height, target.width), dtype=np.uint8)
+    for r in range(0, target.height, step):
+        b = slice(r, r + step)
+        values = rows[y0[b]] * (1.0 - fy[b, None])
+        values += rows[y1[b]] * fy[b, None]
+        values += 0.5
+        np.floor(values, out=values)
+        np.maximum(values, 0.0, out=values)
+        np.minimum(values, 255.0, out=values)
+        out[b] = values
+    return GrayImage(out)

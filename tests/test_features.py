@@ -87,6 +87,17 @@ class TestLbpTransform:
             got = lbp_transform(GrayImage(pixels), cmp)
             assert got.tolist() == expected
 
+    @pytest.mark.parametrize("cmp", [Comparator.STRICT_GREATER, Comparator.GREATER_EQUAL])
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 17), (17, 3), (40, 60)])
+    def test_matches_bitwise_reference_with_ties(self, cmp, shape):
+        # four gray levels make center-neighbor ties common in every direction
+        rng = np.random.default_rng(43)
+        strict = cmp is Comparator.STRICT_GREATER
+        for _ in range(20):
+            pixels = rng.integers(0, 4, size=shape)
+            got = lbp_transform(GrayImage(pixels), cmp)
+            assert got.tolist() == lbp_reference(pixels.tolist(), strict=strict)
+
 
 class TestHistograms:
     def test_lbp_histogram_single_value_mass(self):

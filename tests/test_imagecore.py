@@ -210,6 +210,20 @@ class TestResize:
                     resize_bilinear(img, target).pixels, _resize_four_gathers(img, target)
                 ), (h, w, target)
 
+    @pytest.mark.parametrize("width", [300, 1000, 9000])
+    def test_row_blocks_match_reference_exactly(self, width):
+        # both resize passes run in 64 KiB blocks of 27, 8 and 1 rows at these
+        # widths; source and target heights span several blocks and, for 27
+        # and 8, end in a partial one
+        rng = np.random.default_rng(width)
+        for h, w in ((48, 64), (225, 300), (2, 7)):
+            img = GrayImage(rng.integers(0, 256, size=(h, w)))
+            for height in (1, 3, 29, 61):
+                target = Resolution(width, height)
+                out = resize_bilinear(img, target).pixels
+                assert out.dtype == np.uint8
+                assert np.array_equal(out, _resize_four_gathers(img, target)), (h, w, target)
+
     def test_identity_at_source_resolution(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

@@ -3,17 +3,18 @@ leave-one-out fold of a feature table at once.
 
 A fold maximizes the soft-margin dual over box-constrained variables
 alpha_j in [0, C] on every sample but the one it holds out. The folds of
-one table share the signed Gram matrix Q = (X X^T) o (y y^T), built once,
-and keep their iterates as rows of two (folds, n) arrays: alpha, and
-G = alpha Q, whose entry G[f, j] = y_j (w_f . x_j) is sample j's signed
-margin under fold f's weights. Samples are visited in fixed order with no
-shrinking and no random permutation: step i moves alpha[f, i] of every fold
-f that does not hold out i, from the gradient G[f, i] - 1, and adds the
-moves times row i of Q to G. Identical inputs therefore always produce
-bit-identical folds. One outer iteration is a full pass; after each pass
-every fold's projected-gradient violation over its training samples is read
-from G, and a fold stops on its own once the maximum is within tolerance,
-or at the pass cap.
+one table share the signed Gram matrix Q = (X X^T) o (y y^T) and keep
+their iterates as rows of a state matrix (alpha, 1). Samples are visited
+in fixed order with no shrinking or random permutation: step i sets each
+fold's alpha_i to clip((1 - sum_{j != i} Q_ij alpha_j) / Q_ii, 0, C)
+(Hsieh et al. 2008), the state's dot product with row i of a per-table
+step matrix (-Q_ij / Q_ii, 0 on the diagonal, then 1 / Q_ii), clipped; the
+fold holding out i keeps it at 0. After each pass G = alpha Q is formed:
+G[f, j] = y_j (w_f . x_j) is sample j's signed margin under fold f, and a
+fold stops once its projected-gradient violation is within tolerance, or
+at the pass cap. Dot products and G are taken one fold at a time, never as
+a 2-D matrix product, whose rounding depends on the batch: a fold is
+bit-identical alone or among others.
 
 The bias of a fold is recovered from its training margins w.x_j: the mean
 of y_j - w.x_j over free support vectors (0 < alpha_j < C), or the midpoint
@@ -93,15 +94,21 @@ def solve_folds(
     """Run fixed-order coordinate descent on every fold's dual at once.
 
     Fold f trains on every row of the (n, d) `features` but row
-    `held_out[f]`; an index of n holds nothing out.
+    `held_out[f]`; an index of n holds nothing out. A fold's result does
+    not depend on which other folds share the call.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     n = x.shape[0]
     q = (x @ x.T) * np.outer(y, y)
-    q_diag = q.diagonal().tolist()
     c = cfg.c
+    scaled = q.diagonal() > 0.0
+    # (alpha, 1) . step[i] is alpha_i before the clip or, on a zero
+    # diagonal, the gradient sum_j Q_ij alpha_j - 1
+    step = np.hstack([q, np.full((n, 1), -1.0)])
+    step[scaled] /= -q.diagonal()[scaled, None]
+    step[scaled, np.flatnonzero(scaled)] = 0.0
     held_out = np.asarray(held_out)
     final_alpha = np.zeros((held_out.size, n))
     final_grad = np.zeros((held_out.size, n))
@@ -109,32 +116,32 @@ def solve_folds(
     converged = np.zeros(held_out.size, dtype=bool)
 
     active = np.arange(held_out.size)  # the folds still iterating
-    alpha = np.zeros((held_out.size, n))
-    grad = np.zeros((held_out.size, n))  # G = alpha Q
+    state = np.zeros((held_out.size, n + 1))  # (alpha, 1)
+    state[:, n] = 1.0
     done_passes = 0
     while active.size:
         held = held_out[active]
+        alpha = state[:, :n]
         # the row of `alpha` whose fold holds out sample i, or -1
         holder = np.full(n + 1, -1)
         holder[held] = np.arange(active.size)
         holder = holder.tolist()
-        for i in range(n):
-            a = alpha[:, i]
-            g = grad[:, i] - 1.0
-            if q_diag[i] > 0.0:
+        v = np.empty(active.size)
+        for row, column, closed_form, k in zip(step, alpha.T, scaled.tolist(), holder):
+            np.vecdot(state, row, out=v)
+            if closed_form:
                 # the clip leaves alpha at a bound whose gradient points out
                 # of the box, so it also applies the rule that skips them
-                new = np.minimum(np.maximum(a - g / q_diag[i], 0.0), c)
+                np.maximum(v, 0.0, out=v)
+                np.minimum(v, c, out=column)
             else:
                 # zero feature vector: the objective is linear in alpha_i
-                new = np.where(g < 0.0, c, np.where(g > 0.0, 0.0, a))
-            if holder[i] >= 0:
-                new[holder[i]] = 0.0
-            delta = new - a
-            if delta.any():
-                alpha[:, i] = new
-                grad += np.multiply.outer(delta, q[i])
+                column[:] = np.where(v < 0.0, c, np.where(v > 0.0, 0.0, column))
+            if k >= 0:
+                column[k] = 0.0
         done_passes += 1
+        # G = alpha Q one fold at a time, so a fold rounds alike in any batch
+        grad = np.matmul(alpha[:, None, :], q)[:, 0, :]
         training = held[:, None] != np.arange(n)
         violation = np.where(
             training, np.abs(projected_gradient(grad - 1.0, alpha, c)), 0.0
@@ -147,7 +154,7 @@ def solve_folds(
             final_grad[rows] = grad[done]
             passes[rows] = done_passes
             converged[rows] = met[done]
-            active, alpha, grad = active[~done], alpha[~done], grad[~done]
+            active, state = active[~done], state[~done]
     margins = final_grad * y
     bias = _bias_from_margins(held_out, y, final_alpha, margins, c)
     return FoldSolutions(held_out, final_alpha, margins, bias, passes, converged)

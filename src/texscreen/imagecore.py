@@ -209,12 +209,14 @@ def resize_bilinear(img: GrayImage, target: Resolution) -> GrayImage:
     Destination pixel (x, y) samples the source at
     ((x + 0.5) * W_src / W_dst - 0.5, (y + 0.5) * H_src / H_dst - 0.5),
     clamped to the source extent; interpolated values are rounded half-up.
-    Resizing to the source resolution is the identity. Both passes run in
-    blocks of rows small enough that their temporaries come from the heap
-    rather than from fresh, page-faulting memory maps.
+    Resizing to the source resolution returns `img`, the identity. Both
+    passes run in blocks of rows small enough that their temporaries come
+    from the heap rather than from fresh, page-faulting memory maps.
     """
     src = img.pixels
     h_src, w_src = src.shape
+    if (target.height, target.width) == (h_src, w_src):
+        return img  # sx = x and fx = 0: every pixel samples itself
 
     sx = ((np.arange(target.width) + 0.5) * w_src) / target.width - 0.5
     sy = ((np.arange(target.height) + 0.5) * h_src) / target.height - 0.5

@@ -8,16 +8,28 @@ at a time with the per-fold dual solver the batched one replaced.
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import texscreen
 from texscreen.dataset import SyntheticSpec, generate_synthetic
 
 # seed frozen after verifying the LBP-vs-GRAY separation it must achieve
 FROZEN_SEED = 1
 FROZEN_SPEC = SyntheticSpec(seed=FROZEN_SEED, per_class=20, width=64, height=48, smoothing_radius=2)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def package_on_subprocess_path():
+    """Commands the tests start import the package the test session imported."""
+    src = str(Path(texscreen.__file__).parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        yield
 
 
 @pytest.fixture(scope="session")

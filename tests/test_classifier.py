@@ -173,6 +173,27 @@ class TestSolver:
             )
             assert np.allclose(base.decisions, scaled.decisions, atol=1e-12)
 
+    def test_fold_independent_of_batch(self, synthetic_benchmark):
+        # a fold solved alone rounds exactly as it does among the other
+        # folds, also after some of them have left the batch
+        rng = np.random.default_rng(103)
+        problems = [(*_random_problem(rng, 12, 4), SolverConfig(c=c)) for c in (0.1, 1.0, 10.0)]
+        y = np.array([e.label for e in synthetic_benchmark.entries])
+        x = _feature_tables(
+            synthetic_benchmark, (FeatureKind.LBP,), Resolution(64, 48), Comparator.STRICT_GREATER
+        )[FeatureKind.LBP]
+        problems.append((x, y, SolverConfig(c=10.0, max_outer_iterations=1000)))
+        for x, y, cfg in problems:
+            batch = _loo(x, y, cfg)
+            for k in range(len(y)):
+                alone = solve_folds(x, y, np.array([k]), cfg)
+                for field in ("alpha", "margins", "bias", "passes", "converged"):
+                    assert np.array_equal(getattr(alone, field)[0], getattr(batch, field)[k]), (
+                        k,
+                        field,
+                    )
+        assert np.unique(batch.passes).size > 1  # the LBP folds leave at different passes
+
     def test_zero_feature_row_is_handled(self):
         x = np.array([[0.0, 0.0], [1.0, 0.5], [0.0, 0.0], [0.5, 1.0]])
         y = np.array([-1, 1, 1, -1])

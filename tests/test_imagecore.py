@@ -231,6 +231,13 @@ class TestResize:
             img = GrayImage(rng.integers(0, 256, size=(h, w)))
             out = resize_bilinear(img, Resolution(int(w), int(h)))
             assert np.array_equal(out.pixels, img.pixels)
+        # the reference resolution and a size off the 4:3 grid; the reference
+        # resampling computes the same pixels as the shortcut returns
+        for h, w in ((225, 300), (41, 97)):
+            img = GrayImage(rng.integers(0, 256, size=(h, w)))
+            target = Resolution(w, h)
+            assert np.array_equal(resize_bilinear(img, target).pixels, img.pixels)
+            assert np.array_equal(_resize_four_gathers(img, target), img.pixels)
 
     @settings(max_examples=200, deadline=None)
     @given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40)))

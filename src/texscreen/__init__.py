@@ -15,12 +15,9 @@ from .evaluation import (
     DEFAULT_RESOLUTION,
     DEFAULT_SWEEP_RESOLUTIONS,
     EvalReport,
-    FoldResult,
     SweepReport,
     SweepRow,
-    build_report,
     loocv,
-    loocv_folds,
     render_percent,
     resolution_sweep,
 )
@@ -54,7 +51,6 @@ __all__ = [
     "DatasetEntry",
     "EvalReport",
     "FeatureKind",
-    "FoldResult",
     "GrayImage",
     "LabeledDataset",
     "ManifestError",
@@ -65,7 +61,6 @@ __all__ = [
     "SweepReport",
     "SweepRow",
     "SyntheticSpec",
-    "build_report",
     "decode_image",
     "encode_pgm",
     "extract_feature",
@@ -77,7 +72,6 @@ __all__ = [
     "lbp_transform",
     "load_manifest",
     "loocv",
-    "loocv_folds",
     "normalize_l1",
     "render_percent",
     "resize_bilinear",

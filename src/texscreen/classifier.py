@@ -8,13 +8,17 @@ their iterates as rows of a state matrix (alpha, 1). Samples are visited
 in fixed order with no shrinking or random permutation: step i sets each
 fold's alpha_i to clip((1 - sum_{j != i} Q_ij alpha_j) / Q_ii, 0, C)
 (Hsieh et al. 2008), the state's dot product with row i of a per-table
-step matrix (-Q_ij / Q_ii, 0 on the diagonal, then 1 / Q_ii), clipped; the
-fold holding out i keeps it at 0. After each pass G = alpha Q is formed:
-G[f, j] = y_j (w_f . x_j) is sample j's signed margin under fold f, and a
-fold stops once its projected-gradient violation is within tolerance, or
-at the pass cap. Dot products and G are taken one fold at a time, never as
-a 2-D matrix product, whose rounding depends on the batch: a fold is
-bit-identical alone or among others.
+step matrix (-Q_ij / Q_ii, 0 on the diagonal, then 1 / Q_ii), clipped to
+[0, C], or to [0, 0] for the fold holding out i. A zero feature row has
+Q_ii = 0 and step row (0, ..., 0, C): its row of Q is exactly 0, so its
+gradient is always -1 and alpha_i = C is its optimum. The features are
+L1-normalised histograms, whose smallest non-zero entry squared cannot
+underflow, so Q_ii = 0 only on a zero row. After each pass G = alpha Q is
+formed: G[f, j] = y_j (w_f . x_j) is sample j's signed margin under fold f,
+and a fold stops once its projected-gradient violation is within
+tolerance, or at the pass cap. Dot products and G are taken one fold at a
+time, never as a 2-D matrix product, whose rounding depends on the batch: a
+fold is bit-identical alone or among others.
 
 The bias of a fold is recovered from its training margins w.x_j: the mean
 of y_j - w.x_j over free support vectors (0 < alpha_j < C), or the midpoint
@@ -40,19 +44,13 @@ class SolverConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.c <= 0:
+        # `not x > 0` also rejects NaN
+        if not self.c > 0:
             raise ValueError("penalty c must be positive")
-        if self.max_outer_iterations <= 0:
+        if not self.max_outer_iterations > 0:
             raise ValueError("max_outer_iterations must be positive")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-
-
-@dataclass(frozen=True, eq=False)
-class LinearModel:
-    weights: np.ndarray
-    bias: float
-    converged: bool = True  # the solver met its tolerance before the pass cap
 
 
 @dataclass(eq=False)
@@ -103,46 +101,38 @@ def solve_folds(
     n = x.shape[0]
     q = (x @ x.T) * np.outer(y, y)
     c = cfg.c
-    scaled = q.diagonal() > 0.0
-    # (alpha, 1) . step[i] is alpha_i before the clip or, on a zero
-    # diagonal, the gradient sum_j Q_ij alpha_j - 1
-    step = np.hstack([q, np.full((n, 1), -1.0)])
-    step[scaled] /= -q.diagonal()[scaled, None]
-    step[scaled, np.flatnonzero(scaled)] = 0.0
+    diagonal = q.diagonal()
+    scaled = diagonal > 0.0
+    # (alpha, 1) . step[i] is alpha_i before the clip
+    step = np.zeros((n, n + 1))
+    step[scaled, :n] = q[scaled] / -diagonal[scaled, None]
+    step[scaled, n] = 1.0 / diagonal[scaled]
+    step[np.arange(n), np.arange(n)] = 0.0
+    step[~scaled, n] = c
     held_out = np.asarray(held_out)
     final_alpha = np.zeros((held_out.size, n))
     final_grad = np.zeros((held_out.size, n))
     passes = np.zeros(held_out.size, dtype=np.int64)
     converged = np.zeros(held_out.size, dtype=bool)
 
-    active = np.arange(held_out.size)  # the folds still iterating
+    # the folds still iterating, with their training masks, their upper
+    # bounds on each alpha_i (0 where the fold holds i out) and their state
+    active = np.arange(held_out.size)
+    training = held_out[:, None] != np.arange(n)
+    upper = np.where(training, c, 0.0).T.copy()
     state = np.zeros((held_out.size, n + 1))  # (alpha, 1)
     state[:, n] = 1.0
     done_passes = 0
     while active.size:
-        held = held_out[active]
         alpha = state[:, :n]
-        # the row of `alpha` whose fold holds out sample i, or -1
-        holder = np.full(n + 1, -1)
-        holder[held] = np.arange(active.size)
-        holder = holder.tolist()
         v = np.empty(active.size)
-        for row, column, closed_form, k in zip(step, alpha.T, scaled.tolist(), holder):
+        for row, column, bound in zip(step, alpha.T, upper):
             np.vecdot(state, row, out=v)
-            if closed_form:
-                # the clip leaves alpha at a bound whose gradient points out
-                # of the box, so it also applies the rule that skips them
-                np.maximum(v, 0.0, out=v)
-                np.minimum(v, c, out=column)
-            else:
-                # zero feature vector: the objective is linear in alpha_i
-                column[:] = np.where(v < 0.0, c, np.where(v > 0.0, 0.0, column))
-            if k >= 0:
-                column[k] = 0.0
+            np.maximum(v, 0.0, out=v)
+            np.minimum(v, bound, out=column)
         done_passes += 1
         # G = alpha Q one fold at a time, so a fold rounds alike in any batch
         grad = np.matmul(alpha[:, None, :], q)[:, 0, :]
-        training = held[:, None] != np.arange(n)
         violation = np.where(
             training, np.abs(projected_gradient(grad - 1.0, alpha, c)), 0.0
         ).max(axis=1)
@@ -154,7 +144,9 @@ def solve_folds(
             final_grad[rows] = grad[done]
             passes[rows] = done_passes
             converged[rows] = met[done]
-            active, state = active[~done], state[~done]
+            left = ~done
+            active, state = active[left], state[left]
+            training, upper = training[left], upper[:, left]
     margins = final_grad * y
     bias = _bias_from_margins(held_out, y, final_alpha, margins, c)
     return FoldSolutions(held_out, final_alpha, margins, bias, passes, converged)
@@ -178,27 +170,3 @@ def _bias_from_margins(
     lower = np.where(np.isinf(lower), upper, lower)
     upper = np.where(np.isinf(upper), lower, upper)
     return np.where(free_count > 0, free_mean, (lower + upper) / 2.0)
-
-
-def train_csvc(
-    features: np.ndarray, labels: np.ndarray, cfg: SolverConfig | None = None
-) -> LinearModel:
-    """Train a linear C-SVC on an (n, d) feature matrix and +1/-1 labels.
-
-    The single fold of `solve_folds` that holds nothing out.
-    """
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("features must form a non-empty (n, d) matrix")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features must be finite")
-    if y.shape != (x.shape[0],):
-        raise ValueError("labels must match the number of samples")
-    if not np.all(np.isin(y, (LABEL_ADULTERATED, LABEL_NORMAL))):
-        raise ValueError("labels must be +1 or -1")
-    if not (np.any(y == LABEL_ADULTERATED) and np.any(y == LABEL_NORMAL)):
-        raise ValueError("training set must contain both labels")
-    sol = solve_folds(x, y, np.array([x.shape[0]]), cfg)
-    weights = x.T @ (sol.alpha[0] * y)
-    return LinearModel(weights, float(sol.bias[0]), bool(sol.converged[0]))

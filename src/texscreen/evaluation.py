@@ -44,15 +44,6 @@ DEFAULT_RESOLUTION = Resolution(300, 225)
 SWEEP_KINDS = (FeatureKind.LBP, FeatureKind.GRAY, FeatureKind.CONCAT)
 
 
-@dataclass(frozen=True)
-class FoldResult:
-    held_out_id: str
-    true_label: int
-    predicted_label: int
-    decision: float
-    converged: bool = True  # the fold's solver met its tolerance
-
-
 @dataclass(eq=False)
 class EvalReport:
     """Aggregate of one leave-one-out run.
@@ -108,28 +99,6 @@ def render_percent(numerator: int, denominator: int, decimal_comma: bool = False
     return f"{tenths // 10}{separator}{tenths % 10}%"
 
 
-def build_report(folds: Sequence[FoldResult], kind: FeatureKind) -> EvalReport:
-    """Aggregate fold outcomes into counts, confusion matrix and id list."""
-    if not folds:
-        raise ValueError("cannot build a report from zero folds")
-    confusion = np.zeros((2, 2), dtype=np.int64)
-    misclassified = []
-    for fold in folds:
-        row = 0 if fold.true_label == LABEL_NORMAL else 1
-        col = 0 if fold.predicted_label == LABEL_NORMAL else 1
-        confusion[row, col] += 1
-        if fold.predicted_label != fold.true_label:
-            misclassified.append(fold.held_out_id)
-    return EvalReport(
-        feature_kind=FeatureKind(kind),
-        n=len(folds),
-        correct=int(np.trace(confusion)),
-        confusion=confusion,
-        misclassified_ids=tuple(misclassified),
-        unconverged=sum(not fold.converged for fold in folds),
-    )
-
-
 def _feature_tables(
     data: LabeledDataset,
     kinds: Sequence[FeatureKind],
@@ -176,50 +145,57 @@ def _feature_tables(
     return {kind: tables[kind] for kind in kinds}
 
 
-def _predicted_label(decision: float) -> int:
-    """+1 (adulterated) when the decision value is >= 0, else -1 (normal).
+def _predicted_label(decisions: np.ndarray) -> np.ndarray:
+    """+1 (adulterated) where the decision value is >= 0, else -1 (normal).
 
     A decision value of exactly zero deliberately maps to +1: in a fraud
     screen the conservative error is a false alarm.
     """
-    return LABEL_ADULTERATED if decision >= 0.0 else LABEL_NORMAL
+    return np.where(decisions >= 0.0, LABEL_ADULTERATED, LABEL_NORMAL)
 
 
-def _folds_from_table(
-    data: LabeledDataset, features: np.ndarray, cfg: SolverConfig | None
-) -> tuple[FoldResult, ...]:
-    """Hold out each row of a prebuilt feature matrix; all folds solve together."""
+def _report(
+    data: LabeledDataset, kind: FeatureKind, decisions: np.ndarray, converged: np.ndarray
+) -> EvalReport:
+    """Tally one feature table's folds, fold i holding out `data.entries[i]`.
+
+    Misclassified ids keep dataset order.
+    """
     labels = np.array([e.label for e in data.entries])
-    solution = solve_folds(features, labels, np.arange(len(data)), cfg)
-    return tuple(
-        FoldResult(
-            held_out_id=entry.sample_id,
-            true_label=entry.label,
-            predicted_label=_predicted_label(decision),
-            decision=decision,
-            converged=converged,
-        )
-        for entry, decision, converged in zip(
-            data.entries, solution.decisions.tolist(), solution.converged.tolist()
-        )
+    predicted = _predicted_label(decisions)
+    cells = 2 * (labels == LABEL_ADULTERATED) + (predicted == LABEL_ADULTERATED)
+    confusion = np.bincount(cells, minlength=4).reshape(2, 2)
+    wrong = (predicted != labels).tolist()
+    return EvalReport(
+        feature_kind=kind,
+        n=len(data),
+        correct=int(np.trace(confusion)),
+        confusion=confusion,
+        misclassified_ids=tuple(e.sample_id for e, w in zip(data.entries, wrong) if w),
+        unconverged=len(data) - int(np.count_nonzero(converged)),
     )
 
 
-def loocv_folds(
+def _loocv_reports(
     data: LabeledDataset,
-    kind: FeatureKind,
-    target: Resolution = DEFAULT_RESOLUTION,
-    cmp: Comparator = Comparator.STRICT_GREATER,
-    cfg: SolverConfig | None = None,
-) -> tuple[FoldResult, ...]:
-    """One FoldResult per dataset entry, in dataset order.
+    kinds: Sequence[FeatureKind],
+    target: Resolution,
+    cmp: Comparator,
+    cfg: SolverConfig | None,
+) -> dict[FeatureKind, EvalReport]:
+    """Each kind's leave-one-out report at one resolution.
 
     Images are resized from their originals inside the run, so the target
-    resolution is a parameter of the experiment, not of the dataset.
-    Features are pure functions of each image and are computed once.
+    resolution is a parameter of the experiment, not of the dataset. All
+    folds of a kind's feature table are solved together.
     """
-    kind = FeatureKind(kind)
-    return _folds_from_table(data, _feature_tables(data, (kind,), target, cmp)[kind], cfg)
+    tables = _feature_tables(data, kinds, target, cmp)
+    labels = np.array([e.label for e in data.entries])
+    reports = {}
+    for kind, table in tables.items():
+        solution = solve_folds(table, labels, np.arange(len(data)), cfg)
+        reports[kind] = _report(data, kind, solution.decisions, solution.converged)
+    return reports
 
 
 def loocv(
@@ -230,7 +206,8 @@ def loocv(
     cfg: SolverConfig | None = None,
 ) -> EvalReport:
     """Leave-one-out cross-validation at one resolution and feature kind."""
-    return build_report(loocv_folds(data, kind, target, cmp, cfg), kind)
+    kind = FeatureKind(kind)
+    return _loocv_reports(data, (kind,), target, cmp, cfg)[kind]
 
 
 def resolution_sweep(
@@ -250,11 +227,7 @@ def resolution_sweep(
         raise ValueError("duplicate resolutions are not allowed")
     rows = []
     for res in resolutions:
-        tables = _feature_tables(data, SWEEP_KINDS, res, cmp)
-        reports = {
-            kind: build_report(_folds_from_table(data, table, cfg), kind)
-            for kind, table in tables.items()
-        }
+        reports = _loocv_reports(data, SWEEP_KINDS, res, cmp, cfg)
         rows.append(
             SweepRow(
                 resolution=res,

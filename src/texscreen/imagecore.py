@@ -209,9 +209,13 @@ def resize_bilinear(img: GrayImage, target: Resolution) -> GrayImage:
     Destination pixel (x, y) samples the source at
     ((x + 0.5) * W_src / W_dst - 0.5, (y + 0.5) * H_src / H_dst - 0.5),
     clamped to the source extent; interpolated values are rounded half-up.
-    Resizing to the source resolution returns `img`, the identity. Both
-    passes run in blocks of rows small enough that their temporaries come
-    from the heap rather than from fresh, page-faulting memory maps.
+    Each value is a sum of products of pixels in [0, 255] and weights in
+    [0, 1] that sum to 1, so it lies in [0, 255 + a few ulps]; plus 0.5 it
+    is in [0.5, 256), where the `uint8` store's truncation is the floor and
+    no clamp is needed. Resizing to the source resolution returns `img`,
+    the identity. Both passes run in blocks of rows small enough that their
+    temporaries come from the heap rather than from fresh, page-faulting
+    memory maps.
     """
     src = img.pixels
     h_src, w_src = src.shape
@@ -244,8 +248,5 @@ def resize_bilinear(img: GrayImage, target: Resolution) -> GrayImage:
         values = rows[y0[b]] * (1.0 - fy[b, None])
         values += rows[y1[b]] * fy[b, None]
         values += 0.5
-        np.floor(values, out=values)
-        np.maximum(values, 0.0, out=values)
-        np.minimum(values, 255.0, out=values)
-        out[b] = values
+        out[b] = values  # truncates, which is floor on [0.5, 256)
     return GrayImage(out)

@@ -4,6 +4,8 @@ The oracles deliberately avoid the library's code paths: the LBP reference
 walks pixels one by one in pure Python, the separator searches enumerate
 candidate geometries exhaustively, and the LOOCV reference trains one fold
 at a time with the per-fold dual solver the batched one replaced.
+`train_on_all` and `report_from_confusion` are no oracles: they call the
+library.
 """
 
 import itertools
@@ -16,7 +18,10 @@ import numpy as np
 import pytest
 
 import texscreen
-from texscreen.dataset import SyntheticSpec, generate_synthetic
+from texscreen.classifier import solve_folds
+from texscreen.dataset import DatasetEntry, LabeledDataset, SyntheticSpec, generate_synthetic
+from texscreen.evaluation import _report
+from texscreen.features import FeatureKind
 
 # seed frozen after verifying the LBP-vs-GRAY separation it must achieve
 FROZEN_SEED = 1
@@ -37,6 +42,24 @@ def synthetic_benchmark():
     """Frozen synthetic benchmark: a labeled dataset whose entries carry images."""
     _, dataset = generate_synthetic(FROZEN_SPEC)
     return dataset
+
+
+def train_on_all(features, labels, cfg=None):
+    """(weights, bias) of the C-SVC that `solve_folds` trains on every sample."""
+    x, y = np.asarray(features, dtype=float), np.asarray(labels)
+    sol = solve_folds(x, y, [len(y)], cfg)
+    return (sol.alpha[0] * y) @ x, sol.bias[0]
+
+
+def report_from_confusion(nn, na, an, aa):
+    """The LBP report of sequential folds realizing the given confusion counts."""
+    entries, decisions = [], []
+    for true, pred, count in [(-1, -1, nn), (-1, 1, na), (1, -1, an), (1, 1, aa)]:
+        for _ in range(count):
+            entries.append(DatasetEntry(f"s{len(entries):03d}", None, true, 1))
+            decisions.append(float(pred))
+    converged = np.ones(len(entries), dtype=bool)
+    return _report(LabeledDataset(entries), FeatureKind.LBP, np.array(decisions), converged)
 
 
 def lbp_reference(pixels, strict=True):

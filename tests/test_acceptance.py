@@ -14,12 +14,12 @@ from conftest import (
     lbp_reference,
     max_margin_separator_2d,
     random_separable_set,
+    report_from_confusion,
+    train_on_all,
 )
-from texscreen.classifier import SolverConfig, projected_gradient, solve_folds, train_csvc
+from texscreen.classifier import SolverConfig, projected_gradient, solve_folds
 from texscreen.evaluation import (
     DEFAULT_SWEEP_RESOLUTIONS,
-    FoldResult,
-    build_report,
     loocv,
     render_percent,
     resolution_sweep,
@@ -38,24 +38,14 @@ from texscreen.imagecore import (
 )
 
 
-def _folds(nn, na, an, aa):
-    folds = []
-    i = 0
-    for true, pred, count in [(-1, -1, nn), (-1, 1, na), (1, -1, an), (1, 1, aa)]:
-        for _ in range(count):
-            folds.append(FoldResult(f"s{i:03d}", true, pred, float(pred)))
-            i += 1
-    return folds
-
-
 def test_criterion_1_report_arithmetic():
     """Exact percent rendering from the reference confusion counts."""
-    full = build_report(_folds(23, 1, 1, 34), FeatureKind.LBP)
+    full = report_from_confusion(23, 1, 1, 34)
     assert render_percent(full.correct, full.n) == "96.6%"
     assert render_percent(int(full.confusion[0, 0]), full.normal_total) == "95.8%"
     assert render_percent(int(full.confusion[1, 1]), full.adulterated_total) == "97.1%"
 
-    balanced = build_report(_folds(20, 0, 1, 19), FeatureKind.LBP)
+    balanced = report_from_confusion(20, 0, 1, 19)
     assert render_percent(balanced.correct, balanced.n) == "97.5%"
     assert render_percent(int(balanced.confusion[0, 0]), balanced.normal_total) == "100.0%"
     assert render_percent(int(balanced.confusion[1, 1]), balanced.adulterated_total) == "95.0%"
@@ -115,15 +105,15 @@ def test_criterion_3_synthetic_end_to_end(synthetic_benchmark):
 def test_criterion_4_solver_suite():
     started = time.perf_counter()
 
-    model = train_csvc(np.array([[0.0], [1.0]]), np.array([-1, 1]))
-    decisions = np.array([[0.0], [1.0]]) @ model.weights + model.bias
+    weights, bias = train_on_all([[0.0], [1.0]], [-1, 1])
+    decisions = np.array([[0.0], [1.0]]) @ weights + bias
     assert decisions[0] < 0 <= decisions[1]
 
     xor_points = [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]
     xor_labels = [-1, -1, 1, 1]
     assert best_linear_accuracy_2d(xor_points, xor_labels) == 3
-    xor_model = train_csvc(np.array(xor_points), np.array(xor_labels))
-    xor_preds = np.where(np.array(xor_points) @ xor_model.weights + xor_model.bias >= 0, 1, -1)
+    weights, bias = train_on_all(xor_points, xor_labels)
+    xor_preds = np.where(np.array(xor_points) @ weights + bias >= 0, 1, -1)
     assert (xor_preds == np.array(xor_labels)).sum() <= 3
 
     rng = np.random.default_rng(109)
@@ -149,8 +139,8 @@ def test_criterion_4_solver_suite():
         assert oracle is not None
         _, w, b = oracle
         oracle_preds = [1 if w[0] * px + w[1] * py + b >= 0 else -1 for px, py in points]
-        trained = train_csvc(np.array(points), np.array(labels), SolverConfig(c=100.0))
-        preds = np.where(np.array(points) @ trained.weights + trained.bias >= 0, 1, -1)
+        weights, bias = train_on_all(points, labels, SolverConfig(c=100.0))
+        preds = np.where(np.array(points) @ weights + bias >= 0, 1, -1)
         assert preds.tolist() == oracle_preds
 
     elapsed = time.perf_counter() - started

@@ -11,8 +11,9 @@ from conftest import (
     loocv_reference,
     max_margin_separator_2d,
     random_separable_set,
+    train_on_all,
 )
-from texscreen.classifier import SolverConfig, projected_gradient, solve_folds, train_csvc
+from texscreen.classifier import SolverConfig, projected_gradient, solve_folds
 from texscreen.evaluation import _feature_tables, _predicted_label
 from texscreen.features import Comparator, FeatureKind
 from texscreen.imagecore import Resolution
@@ -22,12 +23,9 @@ XOR_LABELS = np.array([-1, -1, 1, 1])
 KINDS = (FeatureKind.LBP, FeatureKind.GRAY, FeatureKind.CONCAT)
 
 
-def _train(points, labels, cfg=None):
-    return train_csvc(np.asarray(points, dtype=float), np.asarray(labels), cfg)
-
-
 def _decisions(model, points):
-    return np.asarray(points, dtype=float) @ model.weights + model.bias
+    weights, bias = model
+    return np.asarray(points, dtype=float) @ weights + bias
 
 
 def _loo(x, y, cfg=None):
@@ -55,16 +53,19 @@ def _random_problem(rng, n, d):
 
 
 class TestTrainCsvc:
+    """The C-SVC trained on every sample: the fold that holds nothing out."""
+
     def test_separable_pair(self):
-        model = _train([[0.0], [1.0]], [-1, 1])
-        assert model.weights[0] > 0
+        model = train_on_all([[0.0], [1.0]], [-1, 1])
+        weights, _ = model
+        assert weights[0] > 0
         d = _decisions(model, [[0.0], [1.0]])
         assert d[0] < 0 <= d[1]
 
     def test_xor_cannot_exceed_three_correct(self):
         # exhaustive search over linear separators caps XOR at 3/4
         assert best_linear_accuracy_2d(XOR_POINTS.tolist(), XOR_LABELS.tolist()) == 3
-        model = _train(XOR_POINTS, XOR_LABELS)
+        model = train_on_all(XOR_POINTS, XOR_LABELS)
         preds = np.where(_decisions(model, XOR_POINTS) >= 0, 1, -1)
         assert (preds == XOR_LABELS).sum() <= 3
 
@@ -76,34 +77,13 @@ class TestTrainCsvc:
         assert np.array_equal(pos.passes, neg.passes)
         assert np.abs(pos.decisions + neg.decisions).max() <= 1e-6
 
-    def test_single_class_rejected(self):
-        with pytest.raises(ValueError, match="training set must contain both labels"):
-            _train([[0.0], [1.0]], [1, 1])
-
-    def test_labels_must_be_plus_or_minus_one(self):
-        with pytest.raises(ValueError, match="labels must be \\+1 or -1"):
-            _train([[0.0], [1.0]], [0, 1])
-
-    def test_dimension_mismatch_rejected(self):
-        x = np.full((2, 256), 1 / 256)
-        with pytest.raises(ValueError, match="labels must match the number of samples"):
-            train_csvc(x, [1, -1, 1])
-        with pytest.raises(ValueError, match="features must form a non-empty"):
-            train_csvc(x.ravel(), [1, -1])
-        with pytest.raises(ValueError, match="features must form a non-empty"):
-            train_csvc(np.zeros((0, 256)), np.zeros(0))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_features_rejected(self, bad):
-        with pytest.raises(ValueError, match="features must be finite"):
-            _train([[bad], [1.0]], [-1, 1])
-
     def test_stacked_vectors_build_matrix(self):
         a = np.full(256, 1 / 256)
         b = np.zeros(256)
         b[7] = 1.0
-        model = train_csvc(np.stack([a, b]), [-1, 1])
-        assert model.weights.shape == (256,)
+        model = train_on_all(np.stack([a, b]), [-1, 1])
+        weights, _ = model
+        assert weights.shape == (256,)
         d = _decisions(model, [a, b])
         assert d[0] < 0 <= d[1]
 
@@ -138,10 +118,9 @@ class TestSolver:
         s1, s2 = _loo(x, y), _loo(x.copy(), y.copy())
         for field in ("alpha", "margins", "bias", "passes", "converged"):
             assert np.array_equal(getattr(s1, field), getattr(s2, field))
-        m1, m2 = _train(x, y), _train(x.copy(), y.copy())
-        assert np.array_equal(m1.weights, m2.weights)
-        assert m1.bias == m2.bias
-        assert m1.converged == m2.converged
+        (w1, b1), (w2, b2) = train_on_all(x, y), train_on_all(x.copy(), y.copy())
+        assert np.array_equal(w1, w2)
+        assert b1 == b2
 
     def test_agrees_with_max_margin_oracle_on_separable_sets(self):
         rng = random.Random(83)
@@ -155,7 +134,7 @@ class TestSolver:
                 1 if w[0] * px + w[1] * py + b >= 0 else -1 for px, py in points
             ]
             assert oracle_preds == labels  # max-margin separates its own data
-            model = _train(points, labels, cfg)
+            model = train_on_all(points, labels, cfg)
             preds = np.where(_decisions(model, points) >= 0, 1, -1)
             assert preds.tolist() == oracle_preds
 
@@ -214,7 +193,10 @@ class TestSolver:
         cfg = SolverConfig(c=data.draw(st.sampled_from([0.1, 1.0, 10.0]), label="c"))
         sol = _loo(x, y, cfg)
         assert ((sol.alpha >= 0.0) & (sol.alpha <= cfg.c)).all()
-        assert (sol.alpha[np.arange(n), np.arange(n)] == 0.0).all()
+        training = np.arange(n)[:, None] != np.arange(n)
+        assert (sol.alpha[~training] == 0.0).all()
+        # a zero row's gradient is always -1: every fold training on it holds alpha = C
+        assert (sol.alpha[training & ~x.any(axis=1)] == cfg.c).all()
         assert (_violations(y, sol, cfg.c)[sol.converged] <= cfg.tolerance).all()
         assert ((sol.passes >= 1) & (sol.passes <= cfg.max_outer_iterations)).all()
         assert sol.converged[sol.passes < cfg.max_outer_iterations].all()
@@ -228,7 +210,7 @@ class TestPerFoldReference:
         ref = loocv_reference(x, y, cfg)
         assert sol.passes.tolist() == [f.passes for f in ref]
         assert sol.converged.tolist() == [f.converged for f in ref]
-        assert [_predicted_label(d) for d in sol.decisions] == [f.predicted_label for f in ref]
+        assert _predicted_label(sol.decisions).tolist() == [f.predicted_label for f in ref]
         assert np.abs(sol.decisions - [f.decision for f in ref]).max() <= 1e-12
         return sol
 
@@ -321,10 +303,17 @@ class TestPredictAndSerialize:
 class TestSolverConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"c": 0.0}, {"c": -1.0}, {"max_outer_iterations": 0}, {"tolerance": 0.0}],
+        [
+            {"c": 0.0},
+            {"c": -1.0},
+            {"max_outer_iterations": 0},
+            {"tolerance": 0.0},
+            {"c": float("nan")},
+            {"tolerance": float("nan")},
+        ],
     )
     def test_rejects_non_positive_fields(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be positive"):
             SolverConfig(**kwargs)
 
     def test_defaults(self):

@@ -4,15 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from texscreen.classifier import SolverConfig, train_csvc
+from conftest import report_from_confusion, train_on_all
+from texscreen.classifier import SolverConfig
 from texscreen.dataset import DatasetEntry, LabeledDataset
 from texscreen.evaluation import (
     DEFAULT_SWEEP_RESOLUTIONS,
     _feature_tables,
-    FoldResult,
-    build_report,
+    _report,
     loocv,
-    loocv_folds,
     render_percent,
     report_to_json,
     report_to_table,
@@ -22,18 +21,6 @@ from texscreen.evaluation import (
 )
 from texscreen.features import Comparator, FeatureKind, extract_feature
 from texscreen.imagecore import GrayImage, Resolution, resize_bilinear
-
-
-def _folds_from_confusion(nn, na, an, aa):
-    """Sequential fold results realizing the given confusion counts."""
-    folds = []
-    spec = [(-1, -1, nn), (-1, 1, na), (1, -1, an), (1, 1, aa)]
-    i = 0
-    for true, pred, count in spec:
-        for _ in range(count):
-            folds.append(FoldResult(f"s{i:03d}", true, pred, float(pred)))
-            i += 1
-    return folds
 
 
 def _tiny_dataset(n_pairs=2, size=10, seed=7):
@@ -78,41 +65,38 @@ class TestRenderPercent:
 
 class TestBuildReport:
     def test_full_dataset_confusion(self):
-        report = build_report(_folds_from_confusion(23, 1, 1, 34), FeatureKind.LBP)
+        report = report_from_confusion(23, 1, 1, 34)
         assert report.n == 59 and report.correct == 57
         assert report.confusion.tolist() == [[23, 1], [1, 34]]
         assert render_percent(report.correct, report.n) == "96.6%"
         assert render_percent(report.confusion[0, 0], report.normal_total) == "95.8%"
         assert render_percent(report.confusion[1, 1], report.adulterated_total) == "97.1%"
-        assert len(report.misclassified_ids) == 2
+        assert report.misclassified_ids == ("s023", "s024")  # in dataset order
 
     def test_balanced_subset_confusion(self):
-        report = build_report(_folds_from_confusion(20, 0, 1, 19), FeatureKind.LBP)
+        report = report_from_confusion(20, 0, 1, 19)
         assert render_percent(report.correct, report.n) == "97.5%"
         assert render_percent(report.confusion[0, 0], report.normal_total) == "100.0%"
         assert render_percent(report.confusion[1, 1], report.adulterated_total) == "95.0%"
 
     def test_perfect_classification(self):
-        report = build_report(_folds_from_confusion(20, 0, 0, 20), FeatureKind.GRAY)
+        report = report_from_confusion(20, 0, 0, 20)
         assert report.correct == 40 and report.n == 40
         assert render_percent(report.correct, report.n) == "100.0%"
         assert report.misclassified_ids == ()
 
     def test_single_incorrect_fold(self):
-        report = build_report([FoldResult("only", 1, -1, -0.25)], FeatureKind.LBP)
-        assert report.n == 1 and report.correct == 0
+        only = LabeledDataset((DatasetEntry("only", None, 1, 1),))
+        report = _report(only, FeatureKind.LBP, np.array([-0.25]), np.array([False]))
+        assert report.n == 1 and report.correct == 0 and report.unconverged == 1
         assert render_percent(report.correct, report.n) == "0.0%"
         assert report.misclassified_ids == ("only",)
         per_class = json.loads(report_to_json(report))["per_class"]
         assert per_class["normal"]["accuracy"] is None  # no normal folds present
         assert per_class["adulterated"]["accuracy"] == 0.0
 
-    def test_empty_folds_rejected(self):
-        with pytest.raises(ValueError):
-            build_report([], FeatureKind.LBP)
-
     def test_row_sums_equal_class_sizes(self):
-        report = build_report(_folds_from_confusion(5, 2, 3, 7), FeatureKind.CONCAT)
+        report = report_from_confusion(5, 2, 3, 7)
         assert report.normal_total == 7
         assert report.adulterated_total == 10
         assert report.global_accuracy == 12 / 17
@@ -121,12 +105,10 @@ class TestBuildReport:
 class TestLoocv:
     def test_every_sample_held_out_once(self):
         data = _tiny_dataset(n_pairs=2)
-        folds = loocv_folds(data, FeatureKind.LBP, Resolution(8, 8))
-        assert len(folds) == len(data)
-        held_out = sorted(f.held_out_id for f in folds)
-        assert held_out == sorted(e.sample_id for e in data.entries)
-        report = build_report(folds, FeatureKind.LBP)
+        report = loocv(data, FeatureKind.LBP, Resolution(8, 8))
         assert report.n == len(data)
+        assert (report.normal_total, report.adulterated_total) == (2, 2)
+        assert set(report.misclassified_ids) <= {e.sample_id for e in data.entries}
 
     def test_separable_dataset_is_perfect(self, synthetic_benchmark):
         dataset = synthetic_benchmark
@@ -174,8 +156,8 @@ class TestLoocv:
                 for e in dataset.entries
             ]
             labels = [e.label for e in dataset.entries]
-            model = train_csvc(np.stack(vectors), labels, SolverConfig())
-            predictions = np.where(np.stack(vectors) @ model.weights + model.bias >= 0, 1, -1)
+            weights, bias = train_on_all(np.stack(vectors), labels, SolverConfig())
+            predictions = np.where(np.stack(vectors) @ weights + bias >= 0, 1, -1)
             resub = np.mean(predictions == labels)
             cv = loocv(dataset, kind, target).global_accuracy
             assert resub >= cv
@@ -249,7 +231,7 @@ class TestSweep:
 
 class TestSerialization:
     def test_report_json_fields(self):
-        report = build_report(_folds_from_confusion(23, 1, 1, 34), FeatureKind.LBP)
+        report = report_from_confusion(23, 1, 1, 34)
         obj = json.loads(report_to_json(report))
         assert obj["n"] == 59
         assert obj["correct"] == 57
@@ -259,12 +241,12 @@ class TestSerialization:
         assert obj["confusion"] == [[23, 1], [1, 34]]
 
     def test_report_json_decimal_comma(self):
-        report = build_report(_folds_from_confusion(23, 1, 1, 34), FeatureKind.LBP)
+        report = report_from_confusion(23, 1, 1, 34)
         obj = json.loads(report_to_json(report, decimal_comma=True))
         assert obj["global_percent"] == "96,6%"
 
     def test_report_table_row(self):
-        report = build_report(_folds_from_confusion(20, 0, 1, 19), FeatureKind.LBP)
+        report = report_from_confusion(20, 0, 1, 19)
         lines = report_to_table(report).splitlines()
         assert lines[0].startswith("kind,n,correct")
         assert "97.5%" in lines[1] and "100.0%" in lines[1] and "95.0%" in lines[1]

@@ -224,6 +224,25 @@ class TestResize:
                 assert out.dtype == np.uint8
                 assert np.array_equal(out, _resize_four_gathers(img, target)), (h, w, target)
 
+    def test_extremes_need_no_clamp(self):
+        # one source pixel more than the target puts the last sample's weight
+        # at 1 - 0.5/999; blends of 255s may land a few ulps above 255 and of
+        # 0s at 0, and the uint8 store must still give the reference's pixels
+        for (h, w), target in (
+            ((13, 1000), Resolution(999, 12)),
+            ((1000, 13), Resolution(12, 999)),
+        ):
+            frac = ((np.arange(target.width) + 0.5) * w / target.width - 0.5) % 1.0
+            frac_y = ((np.arange(target.height) + 0.5) * h / target.height - 0.5) % 1.0
+            assert max(frac.max(), frac_y.max()) > 0.999
+            checker = (np.indices((h, w)).sum(axis=0) % 2 * 255).astype(np.uint8)
+            for pixels in (np.zeros((h, w), np.uint8), np.full((h, w), 255, np.uint8), checker):
+                img = GrayImage(pixels)
+                out = resize_bilinear(img, target).pixels
+                assert np.array_equal(out, _resize_four_gathers(img, target)), (h, w)
+                if pixels.min() == pixels.max():
+                    assert (out == pixels[0, 0]).all()
+
     def test_identity_at_source_resolution(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

@@ -6,21 +6,40 @@ from pathlib import Path
 import texscreen
 
 PACKAGE = Path(texscreen.__file__).resolve().parent
+MODULES = {
+    path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))
+}
 
 
 def _referenced_names() -> set[str]:
+    """Names loaded anywhere in the package outside `__init__.py`'s re-exports."""
     names = set()
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path, tree in MODULES.items():
         if path.name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
     return names
 
 
 def test_every_exported_name_is_used_in_the_package():
     unused = sorted(set(texscreen.__all__) - _referenced_names())
+    assert unused == []
+
+
+def test_every_public_definition_is_used_in_the_package():
+    # top-level functions and classes only; constants are out of scope
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    referenced = _referenced_names()
+    unused = sorted(
+        f"{path.stem}.{node.name}"
+        for path, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, kinds)
+        and not node.name.startswith("_")
+        and node.name not in referenced
+    )
     assert unused == []

@@ -15,8 +15,6 @@ from .evaluation import (
     DEFAULT_RESOLUTION,
     DEFAULT_SWEEP_RESOLUTIONS,
     EvalReport,
-    SweepReport,
-    SweepRow,
     loocv,
     render_percent,
     resolution_sweep,
@@ -58,8 +56,6 @@ __all__ = [
     "Resolution",
     "RgbImage",
     "SolverConfig",
-    "SweepReport",
-    "SweepRow",
     "SyntheticSpec",
     "decode_image",
     "encode_pgm",

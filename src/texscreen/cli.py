@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Sequence
 
 from .classifier import SolverConfig
 from .dataset import (
@@ -32,6 +33,7 @@ from .dataset import (
 from .evaluation import (
     DEFAULT_RESOLUTION,
     DEFAULT_SWEEP_RESOLUTIONS,
+    EvalReport,
     loocv,
     report_to_json,
     report_to_table,
@@ -62,7 +64,7 @@ exit codes:
   2  invalid usage or flag combination
   3  unreadable input (missing file, IO failure)
   4  invalid data (malformed manifest or image)
-  5  processing failure (e.g. a fold with single-class training data)
+  5  processing failure (e.g. a fold with single-class training data, out of memory)
 """
 
 _COMPARATORS = {"gt": Comparator.STRICT_GREATER, "ge": Comparator.GREATER_EQUAL}
@@ -134,12 +136,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     solver_flags = argparse.ArgumentParser(add_help=False)
-    solver_flags.add_argument("--c", type=_positive_float, default=1.0, help="soft-margin penalty")
+    cfg = SolverConfig()
     solver_flags.add_argument(
-        "--max-iter", type=_int_range(1), default=100, help="maximum full passes over the samples"
+        "--c", type=_positive_float, default=cfg.c, help="soft-margin penalty"
     )
     solver_flags.add_argument(
-        "--tol", type=_positive_float, default=1e-6, help="projected-gradient stopping tolerance"
+        "--max-iter",
+        type=_int_range(1),
+        default=cfg.max_outer_iterations,
+        help="maximum full passes over the samples",
+    )
+    solver_flags.add_argument(
+        "--tol",
+        type=_positive_float,
+        default=cfg.tolerance,
+        help="projected-gradient stopping tolerance",
     )
 
     output_flags = argparse.ArgumentParser(add_help=False)
@@ -244,7 +255,9 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(c=args.c, max_outer_iterations=args.max_iter, tolerance=args.tol)
 
 
-def _warn_pass_cap(unconverged: int, folds: int, max_iter: int) -> None:
+def _warn_pass_cap(reports: Sequence[EvalReport], max_iter: int) -> None:
+    unconverged = sum(r.unconverged for r in reports)
+    folds = sum(r.n for r in reports)  # one fold per entry
     if unconverged:
         print(
             f"texscreen: warning: {unconverged} of {folds} folds stopped at the pass cap "
@@ -267,26 +280,22 @@ def _cmd_loocv(args: argparse.Namespace) -> int:
     else:
         text = report_to_table(report, args.decimal_comma)
     _write_text(args.out, text)
-    _warn_pass_cap(report.unconverged, report.n, args.max_iter)
+    _warn_pass_cap([report], args.max_iter)
     return EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.manifest, args.group)
     resolutions = args.resolutions if args.resolutions else DEFAULT_SWEEP_RESOLUTIONS
-    report = resolution_sweep(
+    sweep = resolution_sweep(
         dataset, resolutions, _COMPARATORS[args.comparator], _solver_config(args)
     )
     if args.format == "json":
-        text = sweep_to_json(report, args.decimal_comma)
+        text = sweep_to_json(sweep, args.decimal_comma)
     else:
-        text = sweep_to_table(report)
+        text = sweep_to_table(sweep)
     _write_text(args.out, text)
-    _warn_pass_cap(
-        sum(row.unconverged for row in report.rows),
-        3 * sum(row.n for row in report.rows),  # one fold per entry and kind
-        args.max_iter,
-    )
+    _warn_pass_cap([r for reports in sweep.values() for r in reports.values()], args.max_iter)
     return EXIT_OK
 
 
@@ -331,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID_DATA
     except ValueError as exc:
         print(f"texscreen: {exc}", file=sys.stderr)
+        return EXIT_PROCESSING
+    except MemoryError:
+        print("texscreen: out of memory", file=sys.stderr)
         return EXIT_PROCESSING
 
 

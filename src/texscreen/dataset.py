@@ -163,6 +163,8 @@ def load_manifest(data: bytes | str) -> LabeledDataset:
         sample_id, path, label_token, group_token = fields
         if not path:
             raise ManifestError("missing path", lineno)
+        if "\0" in path:
+            raise ManifestError("path contains a NUL character", lineno)
         if label_token not in LABEL_VALUES:
             raise ManifestError(f"unknown label {label_token!r}", lineno)
         if group_token not in ("1", "2"):
@@ -203,6 +205,7 @@ def _box_blur(pixels: np.ndarray, radius: int) -> np.ndarray:
     if radius == 0:
         return pixels.copy()
     h, w = pixels.shape
+    radius = min(radius, max(h, w))  # a wider window clips to the same one
     integral = np.zeros((h + 1, w + 1), dtype=np.int64)
     integral[1:, 1:] = pixels.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
     y0 = np.maximum(np.arange(h) - radius, 0)

@@ -3,9 +3,11 @@
 Every sample is held out once: the image is resized to the working
 resolution, the requested feature extracted, a model trained on all other
 samples, and the held-out sample predicted. The folds of one feature table
-are solved together (`classifier.solve_folds`). Accuracies are kept as exact
-integer ratios; rendering to percent (one decimal, round-half-up, optional
-decimal comma) happens only at the output boundary.
+are solved together (`classifier.solve_folds`). `EvalReport` is the one
+result type: `loocv` returns one, and `resolution_sweep` returns each
+resolution's reports keyed by kind. Accuracies are kept as exact integer
+ratios; rendering to percent (one decimal, round-half-up, optional decimal
+comma) happens only at the output boundary.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,19 +73,6 @@ class EvalReport:
     @property
     def adulterated_total(self) -> int:
         return int(self.confusion[1].sum())
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    resolution: Resolution
-    n: int
-    correct: Mapping[FeatureKind, int]  # per kind of `SWEEP_KINDS`
-    unconverged: int  # over the row's folds of all three kinds; not rendered
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    rows: tuple[SweepRow, ...]
 
 
 def render_percent(numerator: int, denominator: int, decimal_comma: bool = False) -> str:
@@ -215,8 +204,9 @@ def resolution_sweep(
     resolutions: Sequence[Resolution] = DEFAULT_SWEEP_RESOLUTIONS,
     cmp: Comparator = Comparator.STRICT_GREATER,
     cfg: SolverConfig | None = None,
-) -> SweepReport:
-    """Leave-one-out accuracy of all three feature kinds per resolution.
+) -> dict[Resolution, dict[FeatureKind, EvalReport]]:
+    """Each resolution's leave-one-out reports of all three feature kinds,
+    keyed in request order.
 
     Each (resolution, image) pair is resized and histogrammed once; each
     kind's table of the row then has all its folds solved together.
@@ -225,18 +215,7 @@ def resolution_sweep(
         raise ValueError("at least one resolution is required")
     if len(set(resolutions)) != len(resolutions):
         raise ValueError("duplicate resolutions are not allowed")
-    rows = []
-    for res in resolutions:
-        reports = _loocv_reports(data, SWEEP_KINDS, res, cmp, cfg)
-        rows.append(
-            SweepRow(
-                resolution=res,
-                n=len(data),
-                correct={kind: r.correct for kind, r in reports.items()},
-                unconverged=sum(r.unconverged for r in reports.values()),
-            )
-        )
-    return SweepReport(tuple(rows))
+    return {res: _loocv_reports(data, SWEEP_KINDS, res, cmp, cfg) for res in resolutions}
 
 
 def _class_block(correct: int, total: int, decimal_comma: bool) -> dict:
@@ -248,6 +227,14 @@ def _class_block(correct: int, total: int, decimal_comma: bool) -> dict:
     }
 
 
+def _per_class(report: EvalReport, decimal_comma: bool) -> dict[str, dict]:
+    totals = {"normal": report.normal_total, "adulterated": report.adulterated_total}
+    return {
+        name: _class_block(int(report.confusion[i, i]), total, decimal_comma)
+        for i, (name, total) in enumerate(totals.items())
+    }
+
+
 def report_to_json(report: EvalReport, decimal_comma: bool = False) -> str:
     obj = {
         "feature_kind": report.feature_kind.value,
@@ -255,14 +242,7 @@ def report_to_json(report: EvalReport, decimal_comma: bool = False) -> str:
         "correct": report.correct,
         "global_accuracy": report.global_accuracy,
         "global_percent": render_percent(report.correct, report.n, decimal_comma),
-        "per_class": {
-            "normal": _class_block(
-                int(report.confusion[0, 0]), report.normal_total, decimal_comma
-            ),
-            "adulterated": _class_block(
-                int(report.confusion[1, 1]), report.adulterated_total, decimal_comma
-            ),
-        },
+        "per_class": _per_class(report, decimal_comma),
         "confusion": report.confusion.tolist(),
         "misclassified_ids": list(report.misclassified_ids),
     }
@@ -276,40 +256,34 @@ def report_to_table(report: EvalReport, decimal_comma: bool = False) -> str:
     writer.writerow(
         ["kind", "n", "correct", "global", "normal", "adulterated", "misclassified"]
     )
-    normal = (
-        render_percent(int(report.confusion[0, 0]), report.normal_total, decimal_comma)
-        if report.normal_total
-        else ""
-    )
-    adulterated = (
-        render_percent(int(report.confusion[1, 1]), report.adulterated_total, decimal_comma)
-        if report.adulterated_total
-        else ""
-    )
+    per_class = _per_class(report, decimal_comma)
     writer.writerow(
         [
             report.feature_kind.value,
             report.n,
             report.correct,
             render_percent(report.correct, report.n, decimal_comma),
-            normal,
-            adulterated,
+            per_class["normal"]["percent"] or "",
+            per_class["adulterated"]["percent"] or "",
             ";".join(report.misclassified_ids),
         ]
     )
     return buf.getvalue()
 
 
-def sweep_to_json(report: SweepReport, decimal_comma: bool = False) -> str:
+def sweep_to_json(
+    sweep: dict[Resolution, dict[FeatureKind, EvalReport]], decimal_comma: bool = False
+) -> str:
     rows = []
-    for row in report.rows:
+    for res, reports in sweep.items():
+        n = reports[SWEEP_KINDS[0]].n
         rows.append(
             {
-                "width": row.resolution.width,
-                "height": row.resolution.height,
-                "n": row.n,
+                "width": res.width,
+                "height": res.height,
+                "n": n,
                 **{
-                    kind.value: _class_block(row.correct[kind], row.n, decimal_comma)
+                    kind.value: _class_block(reports[kind].correct, n, decimal_comma)
                     for kind in SWEEP_KINDS
                 },
             }
@@ -317,10 +291,10 @@ def sweep_to_json(report: SweepReport, decimal_comma: bool = False) -> str:
     return json.dumps({"rows": rows}, indent=2) + "\n"
 
 
-def sweep_to_table(report: SweepReport) -> str:
+def sweep_to_table(sweep: dict[Resolution, dict[FeatureKind, EvalReport]]) -> str:
     """Comma-separated sweep table: width,height,acc_lbp,acc_gray,acc_concat."""
     lines = ["width,height,acc_lbp,acc_gray,acc_concat"]
-    for row in report.rows:
-        accuracies = ",".join(repr(row.correct[kind] / row.n) for kind in SWEEP_KINDS)
-        lines.append(f"{row.resolution.width},{row.resolution.height},{accuracies}")
+    for res, reports in sweep.items():
+        accuracies = ",".join(repr(reports[kind].global_accuracy) for kind in SWEEP_KINDS)
+        lines.append(f"{res.width},{res.height},{accuracies}")
     return "\n".join(lines) + "\n"

@@ -172,7 +172,7 @@ def decode_image(data: bytes) -> GrayImage | RgbImage:
                 f"truncated payload: expected {count} bytes, found {len(data) - pos}",
                 len(data),
             )
-        values = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos).copy()
+        values = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
 
     if channels == 1:
         return GrayImage(values.reshape(height, width))

@@ -153,15 +153,15 @@ def test_criterion_5_resolution_sweep(synthetic_benchmark):
     dataset = synthetic_benchmark
     first = resolution_sweep(dataset, DEFAULT_SWEEP_RESOLUTIONS)
     second = resolution_sweep(dataset, DEFAULT_SWEEP_RESOLUTIONS)
-    assert len(first.rows) == 11
-    assert [(r.resolution.width, r.resolution.height) for r in first.rows] == [
+    assert len(first) == 11
+    assert [(r.width, r.height) for r in first] == [
         (50, 37), (75, 56), (100, 75), (125, 94), (150, 113), (175, 131),
         (200, 150), (225, 169), (250, 188), (275, 207), (300, 225),
     ]
-    for row in first.rows:
-        assert row.n == 40
-        for correct in row.correct.values():
-            assert 0 <= correct <= row.n
+    for row in first.values():
+        for report in row.values():
+            assert report.n == 40
+            assert 0 <= report.correct <= report.n
     assert sweep_to_json(first) == sweep_to_json(second)
     assert sweep_to_table(first) == sweep_to_table(second)
     elapsed = time.perf_counter() - started

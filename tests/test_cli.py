@@ -1,16 +1,27 @@
+import contextlib
 import hashlib
+import io
 import json
+import resource
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
+from texscreen.classifier import SolverConfig
 from texscreen.cli import (
     EXIT_INVALID_DATA,
     EXIT_OK,
     EXIT_PROCESSING,
     EXIT_UNREADABLE,
     EXIT_USAGE,
+    _solver_config,
+    build_parser,
     main,
 )
 
@@ -431,6 +442,34 @@ class TestFailurePaths:
         assert "UTF-8" in capsys.readouterr().err
 
 
+    def test_nul_in_image_path_exits_invalid_data(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(b"id,path,label,group\na,x.pgm,normal,1\nb,y\0.pgm,normal,1\n")
+        code = main(["loocv", "--manifest", str(manifest)])
+        assert code == EXIT_INVALID_DATA
+        assert capsys.readouterr().err == (
+            "texscreen: invalid data: path contains a NUL character (line 3)\n"
+        )
+
+    def test_out_of_memory_exits_processing(self, tmp_path):
+        bench = _synth(tmp_path, per_class=2)
+        cap = 1_500_000_000  # bytes of address space, for the child only
+
+        def limit_child():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        argv = ["extract", "--manifest", str(bench / "manifest.csv")]
+        argv += ["--width", "50000", "--height", "50000"]
+        run = subprocess.run(
+            [sys.executable, "-m", "texscreen.cli", *argv],
+            capture_output=True,
+            text=True,
+            preexec_fn=limit_child,
+        )
+        assert run.returncode == EXIT_PROCESSING
+        assert run.stderr == "texscreen: out of memory\n"
+
+
 class TestExtractSizeFloor:
     @pytest.mark.parametrize("kind", ["lbp", "concat"])
     @pytest.mark.parametrize("size", [["--width", "2"], ["--height", "2"]], ids=["w", "h"])
@@ -488,6 +527,172 @@ class TestPassCapWarning:
         loocv = ["loocv", "--width", "16", "--height", "12"]
         assert self._run(tmp_path / "l", capsys, loocv) == ""
         assert self._run(tmp_path / "s", capsys, ["sweep", "--resolutions", "8x6,16x12"]) == ""
+
+
+def test_solver_flag_defaults_are_the_solver_config_defaults():
+    args = build_parser().parse_args(["loocv", "--manifest", "x.csv"])
+    assert _solver_config(args) == SolverConfig()
+
+
+def _pnm_bytes(magic, width, height, seed):
+    """A well-formed binary netpbm image of random pixels."""
+    channels = 3 if magic == b"P6" else 1
+    rng = np.random.default_rng(seed)
+    payload = rng.integers(0, 256, width * height * channels, dtype=np.uint8).tobytes()
+    return b"%s %d %d 255\n" % (magic, width, height) + payload
+
+
+_GOOD_IMAGE = st.builds(
+    _pnm_bytes,
+    st.sampled_from([b"P5", b"P6"]),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+)
+_BAD_IMAGE = st.one_of(  # drawn as in the decoder's arbitrary-bytes test
+    st.binary(max_size=64),
+    st.builds(
+        lambda magic, dims, tail: magic + b" ".join(b"%d" % d for d in dims) + tail,
+        st.sampled_from([b"P2 ", b"P3 ", b"P5 ", b"P6 ", b"P2\n#c\n"]),
+        st.lists(st.integers(0, 2**64), min_size=0, max_size=3).map(lambda dims: dims + [255]),
+        st.binary(max_size=32),
+    ),
+)
+_HEADER = "id,path,label,group"
+_BAD_HEADER = st.one_of(
+    st.sampled_from(["id,file,label,group", "id,path,label", ""]), st.text(max_size=20)
+)
+# (path kind, label, group, image bytes)
+_GOOD_PAIR = st.builds(
+    lambda group, normal, adulterated: [
+        ("file", "normal", group, normal),
+        ("file", "adulterated", group, adulterated),
+    ],
+    st.sampled_from("12"),
+    _GOOD_IMAGE,
+    _GOOD_IMAGE,
+)
+_BAD_ENTRY = st.one_of(
+    st.tuples(
+        st.sampled_from(["missing", "directory", "nul", "latin-1"]),
+        st.just("normal"),
+        st.just("1"),
+        st.just(b""),
+    ),
+    st.tuples(st.just("file"), st.sampled_from(["fresh", ""]), st.just("1"), _GOOD_IMAGE),
+    st.tuples(st.just("file"), st.just("adulterated"), st.sampled_from(["3", "x"]), _GOOD_IMAGE),
+    st.tuples(st.just("file"), st.just("normal"), st.just("2"), _BAD_IMAGE),
+)
+
+
+def _mostly(valid, invalid):
+    """Draws from `valid` three times in four, else from `invalid`; lists are sampled."""
+    valid, invalid = (st.sampled_from(v) if isinstance(v, list) else v for v in (valid, invalid))
+    return st.sampled_from((valid, valid, valid, invalid)).flatmap(lambda choice: choice)
+
+
+_SIZE = _mostly(st.integers(3, 24).map(str), ["-1", "2", "", "x", "3.5"])
+_FLAG_VALUES = {
+    "--group": _mostly(["1", "2", "all"], ["3"]),
+    "--comparator": _mostly(["gt", "ge"], ["eq"]),
+    "--kind": _mostly(["lbp", "gray", "concat"], ["wavelet"]),
+    "--width": _SIZE,
+    "--height": _SIZE,
+    "--resolutions": st.one_of(
+        st.lists(st.tuples(_SIZE, _SIZE).map("x".join), min_size=1, max_size=3).map(",".join),
+        st.sampled_from(["", "8x8,8x8", "8by8"]),
+    ),
+    "--c": _mostly(["1", "0.01", "100"], ["0", "-1", "nan", "inf", "x"]),
+    "--max-iter": _mostly(["1", "3", "99999999999999999999"], ["0", "-2", "1.5"]),
+    "--tol": _mostly(["1e-6", "0.5"], ["0", "-1", "nan"]),
+    "--format": _mostly(["json", "table"], ["xml"]),
+    "--decimal-comma": st.just(None),
+    "--seed": _mostly(["0", "1", str(2**64 - 1)], ["-1", str(2**64), "x"]),
+    "--per-class": _mostly(["2", "3"], ["1", "x"]),
+    "--smoothing-radius": _mostly(["0", "1", "99999999999999999999"], ["-1"]),
+}
+_SOLVER_FLAGS = ["--c", "--max-iter", "--tol", "--format", "--decimal-comma"]
+_COMMAND_FLAGS = {
+    "extract": ["--group", "--comparator", "--kind", "--width", "--height"],
+    "loocv": ["--group", "--comparator", "--kind", "--width", "--height", *_SOLVER_FLAGS],
+    "sweep": ["--group", "--comparator", "--resolutions", *_SOLVER_FLAGS],
+    "synth": ["--seed", "--per-class", "--width", "--height", "--smoothing-radius"],
+}
+
+
+def _flags(command):
+    """Up to three of the command's flags with drawn values; rarely one it lacks."""
+    flag = _mostly(_COMMAND_FLAGS[command], ["--kind"]).flatmap(
+        lambda name: _FLAG_VALUES[name].map(lambda v: [name] if v is None else [name, v])
+    )
+    return st.lists(flag, max_size=3).map(lambda pairs: [t for pair in pairs for t in pair])
+
+
+class TestCliFuzz:
+    """Whatever the manifest, images and flags, `main` ends in a documented
+    exit code, and a failure says so in exactly one stderr line."""
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        command=st.sampled_from(["extract", "loocv", "sweep", "synth"]),
+        header=_mostly(st.just(_HEADER), _BAD_HEADER),
+        pairs=st.lists(_GOOD_PAIR, min_size=1, max_size=4),
+        defect=_mostly(st.none(), _BAD_ENTRY),
+        manifest_name=_mostly(["manifest.csv"], ["missing.csv", ".", "m\0.csv"]),
+        out_name=_mostly([None], ["out", ".", "o\0"]),
+        data=st.data(),
+    )
+    def test_exit_codes_and_one_line_errors(
+        self, tmp_path, command, header, pairs, defect, manifest_name, out_name, data
+    ):
+        root = Path(tempfile.mkdtemp(dir=tmp_path))
+        entries = [entry for pair in pairs for entry in pair]
+        if defect is not None:
+            entries.insert(data.draw(st.integers(0, len(entries))), defect)
+        lines = [header]
+        for i, (kind, label, group, image) in enumerate(entries):
+            path = {
+                "missing": f"gone{i}.pgm",
+                "directory": f"dir{i}",
+                "nul": f"img{i}\0.pgm",
+                "latin-1": f"\udce9t\udce9{i}.pgm",  # written as the non-UTF-8 byte 0xe9
+            }.get(kind, f"img{i}.pnm")
+            if kind == "file":
+                (root / path).write_bytes(image)
+            elif kind == "directory":
+                (root / path).mkdir()
+            lines.append(f"e{i},{path},{label},{group}")
+        text = "\n".join(lines) + "\n"
+        (root / "manifest.csv").write_bytes(text.encode("utf-8", "surrogateescape"))
+
+        if command == "synth":
+            argv = ["synth", "--out", str(root / (out_name or "synth"))]
+            argv += ["--per-class", "2", "--width", "8", "--height", "8"]
+        else:
+            argv = [command, "--manifest", str(root / manifest_name)]
+            if command == "sweep":
+                argv += ["--resolutions", "8x8,5x4"]
+            else:
+                argv += ["--width", "8", "--height", "8"]
+            if out_name is not None:
+                argv += ["--out", str(root / out_name)]
+        argv += data.draw(_flags(command))
+
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        event(f"{command} exit {code}")
+        assert code in {EXIT_OK, EXIT_USAGE, EXIT_UNREADABLE, EXIT_INVALID_DATA, EXIT_PROCESSING}
+        if code in {EXIT_UNREADABLE, EXIT_INVALID_DATA, EXIT_PROCESSING}:
+            err = stderr.getvalue()
+            assert err.startswith("texscreen: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestInstalledEntryPoint:

@@ -87,6 +87,11 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match="path"):
             load_manifest("id,path,label,group\na,,normal,1\n")
 
+    def test_nul_in_path_names_line(self):
+        with pytest.raises(ManifestError, match="NUL") as err:
+            load_manifest("id,path,label,group\na,x.pgm,normal,1\nb,y\0.pgm,normal,1\n")
+        assert err.value.line == 3
+
     def test_roundtrip_identity(self):
         manifest = _table_shaped_manifest()
         assert load_manifest(serialize_manifest(manifest)) == manifest
@@ -289,6 +294,14 @@ class TestGenerateSynthetic:
             SyntheticSpec(seed=-1, per_class=2, width=8, height=8)
         with pytest.raises(ValueError):
             SyntheticSpec(seed=1, per_class=2, width=8, height=8, smoothing_radius=-1)
+
+    def test_smoothing_radius_beyond_image_blurs_to_the_mean(self):
+        spec = SyntheticSpec(seed=3, per_class=2, width=8, height=8, smoothing_radius=8)
+        _, wide = generate_synthetic(spec)
+        _, huge = generate_synthetic(replace(spec, smoothing_radius=2**64))
+        for a, b in zip(wide.entries, huge.entries):
+            assert np.array_equal(a.image.pixels, b.image.pixels)
+        assert len(np.unique(wide.entries[0].image.pixels)) == 1
 
     def test_smoothing_radius_zero_keeps_raw_noise(self):
         images, _ = generate_synthetic(

@@ -187,25 +187,26 @@ class TestFeatureTable:
     def test_sweep_row_matches_per_kind_loocv(self, synthetic_benchmark):
         dataset = synthetic_benchmark
         target = Resolution(50, 37)
-        row = resolution_sweep(dataset, [target]).rows[0]
-        assert row.correct == {kind: loocv(dataset, kind, target).correct for kind in self.KINDS}
+        row = resolution_sweep(dataset, [target])[target]
+        assert {kind: r.correct for kind, r in row.items()} == {
+            kind: loocv(dataset, kind, target).correct for kind in self.KINDS
+        }
 
 
 class TestSweep:
     def test_single_resolution_row(self):
         data = _tiny_dataset(n_pairs=2)
-        report = resolution_sweep(data, [Resolution(8, 8)])
-        assert len(report.rows) == 1
-        row = report.rows[0]
-        assert list(row.correct) == [FeatureKind.LBP, FeatureKind.GRAY, FeatureKind.CONCAT]
-        for correct in row.correct.values():
-            assert 0 <= correct <= row.n
+        sweep = resolution_sweep(data, [Resolution(8, 8)])
+        assert list(sweep) == [Resolution(8, 8)]
+        row = sweep[Resolution(8, 8)]
+        assert list(row) == [FeatureKind.LBP, FeatureKind.GRAY, FeatureKind.CONCAT]
+        for report in row.values():
+            assert 0 <= report.correct <= report.n == len(data)
 
     def test_rows_follow_request_order(self):
         data = _tiny_dataset(n_pairs=2)
         resolutions = [Resolution(10, 10), Resolution(8, 8)]
-        report = resolution_sweep(data, resolutions)
-        assert [r.resolution for r in report.rows] == resolutions
+        assert list(resolution_sweep(data, resolutions)) == resolutions
 
     def test_duplicate_resolutions_rejected(self):
         data = _tiny_dataset()

@@ -33,11 +33,9 @@ from .imagecore import (
     GrayImage,
     PnmDecodeError,
     Resolution,
-    RgbImage,
     decode_image,
     encode_pgm,
     resize_bilinear,
-    to_grayscale,
 )
 
 __version__ = "0.1.0"
@@ -54,7 +52,6 @@ __all__ = [
     "ManifestError",
     "PnmDecodeError",
     "Resolution",
-    "RgbImage",
     "SolverConfig",
     "SyntheticSpec",
     "decode_image",
@@ -73,5 +70,4 @@ __all__ = [
     "resize_bilinear",
     "resolution_sweep",
     "serialize_manifest",
-    "to_grayscale",
 ]

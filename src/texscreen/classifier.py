@@ -33,9 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-LABEL_ADULTERATED = 1
-LABEL_NORMAL = -1
-
 
 @dataclass(frozen=True)
 class SolverConfig:

@@ -42,15 +42,7 @@ from .evaluation import (
     sweep_to_table,
 )
 from .features import Comparator, FeatureKind, extract_feature, format_feature
-from .imagecore import (
-    PnmDecodeError,
-    Resolution,
-    RgbImage,
-    decode_image,
-    encode_pgm,
-    resize_bilinear,
-    to_grayscale,
-)
+from .imagecore import PnmDecodeError, Resolution, decode_image, encode_pgm, resize_bilinear
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -96,6 +88,13 @@ def _int_range(low: int, high: int | None = None):
     return parse
 
 
+def _path(text: str) -> str:
+    """Argument type: a path, which the OS cannot open if it holds a NUL."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError("path contains a NUL character")
+    return text
+
+
 _EVAL_SIZE = _int_range(3)  # LBP needs at least 3x3 pixels
 
 
@@ -124,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     manifest_flags = argparse.ArgumentParser(add_help=False)
-    manifest_flags.add_argument("--manifest", required=True, help="manifest csv path")
+    manifest_flags.add_argument("--manifest", type=_path, required=True, help="manifest csv path")
     manifest_flags.add_argument(
         "--group", choices=("1", "2", "all"), default="all", help="group filter"
     )
@@ -154,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     output_flags = argparse.ArgumentParser(add_help=False)
-    output_flags.add_argument("--out", help="output path (default: stdout)")
+    output_flags.add_argument("--out", type=_path, help="output path (default: stdout)")
     output_flags.add_argument(
         "--format", choices=("json", "table"), default="json", help="report format"
     )
@@ -174,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_extract.add_argument("--width", type=_int_range(1), default=DEFAULT_RESOLUTION.width)
     p_extract.add_argument("--height", type=_int_range(1), default=DEFAULT_RESOLUTION.height)
-    p_extract.add_argument("--out", help="output path (default: stdout)")
+    p_extract.add_argument("--out", type=_path, help="output path (default: stdout)")
 
     p_loocv = sub.add_parser(
         "loocv",
@@ -202,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser(
         "synth", help="generate the seeded synthetic benchmark into a directory"
     )
-    p_synth.add_argument("--out", required=True, help="output directory")
+    p_synth.add_argument("--out", type=_path, required=True, help="output directory")
     p_synth.add_argument(
         "--seed", type=_int_range(0, 2**64), default=1, help="64-bit generator seed"
     )
@@ -221,13 +220,12 @@ def _load_dataset(path_text: str, group: str) -> LabeledDataset:
     manifest = load_manifest(path.read_bytes())
     if group != "all":
         manifest = filter_group(manifest, int(group))
-    entries = []
-    for e in manifest.entries:
-        decoded = decode_image((path.parent / e.path).read_bytes())
-        if isinstance(decoded, RgbImage):
-            decoded = to_grayscale(decoded)
-        entries.append(replace(e, image=decoded))
-    return LabeledDataset(tuple(entries))
+    return LabeledDataset(
+        tuple(
+            replace(e, image=decode_image((path.parent / e.path).read_bytes()))
+            for e in manifest.entries
+        )
+    )
 
 
 def _write_text(out: str | None, text: str) -> None:

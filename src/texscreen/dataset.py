@@ -30,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import LABEL_ADULTERATED, LABEL_NORMAL
 from .imagecore import GrayImage
 
+LABEL_ADULTERATED = 1
+LABEL_NORMAL = -1
 LABEL_NAMES = {LABEL_NORMAL: "normal", LABEL_ADULTERATED: "adulterated"}
 LABEL_VALUES = {name: value for value, name in LABEL_NAMES.items()}
 MANIFEST_HEADER = ("id", "path", "label", "group")

@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifier import LABEL_ADULTERATED, LABEL_NORMAL, SolverConfig, solve_folds
-from .dataset import LabeledDataset
+from .classifier import SolverConfig, solve_folds
+from .dataset import LABEL_ADULTERATED, LABEL_NORMAL, LabeledDataset
 from .features import Comparator, FeatureKind, extract_feature
 from .imagecore import Resolution, resize_bilinear
 
@@ -90,11 +90,13 @@ def render_percent(numerator: int, denominator: int, decimal_comma: bool = False
 
 def _feature_tables(
     data: LabeledDataset,
+    labels: np.ndarray,
     kinds: Sequence[FeatureKind],
     target: Resolution,
     cmp: Comparator,
 ) -> dict[FeatureKind, np.ndarray]:
-    """Per requested kind, the (n, d) matrix of every entry's feature.
+    """Per requested kind, the (n, d) matrix of every entry's feature;
+    `labels` holds the entries' labels in dataset order.
 
     Each image is resized once and histogrammed once per base kind; CONCAT
     joins the LBP and GRAY matrices instead of extracting again. This is
@@ -103,8 +105,7 @@ def _feature_tables(
     """
     if len(data) < 3:
         raise ValueError("dataset needs at least 3 entries")
-    labels = [e.label for e in data.entries]
-    if set(labels) != {LABEL_ADULTERATED, LABEL_NORMAL}:
+    if set(labels.tolist()) != {LABEL_ADULTERATED, LABEL_NORMAL}:
         raise ValueError("dataset must contain both labels")
     for e in data.entries:
         if e.image is None:
@@ -144,13 +145,17 @@ def _predicted_label(decisions: np.ndarray) -> np.ndarray:
 
 
 def _report(
-    data: LabeledDataset, kind: FeatureKind, decisions: np.ndarray, converged: np.ndarray
+    data: LabeledDataset,
+    labels: np.ndarray,
+    kind: FeatureKind,
+    decisions: np.ndarray,
+    converged: np.ndarray,
 ) -> EvalReport:
-    """Tally one feature table's folds, fold i holding out `data.entries[i]`.
+    """Tally one feature table's folds, fold i holding out `data.entries[i]`
+    whose label is `labels[i]`.
 
     Misclassified ids keep dataset order.
     """
-    labels = np.array([e.label for e in data.entries])
     predicted = _predicted_label(decisions)
     cells = 2 * (labels == LABEL_ADULTERATED) + (predicted == LABEL_ADULTERATED)
     confusion = np.bincount(cells, minlength=4).reshape(2, 2)
@@ -178,12 +183,11 @@ def _loocv_reports(
     resolution is a parameter of the experiment, not of the dataset. All
     folds of a kind's feature table are solved together.
     """
-    tables = _feature_tables(data, kinds, target, cmp)
     labels = np.array([e.label for e in data.entries])
     reports = {}
-    for kind, table in tables.items():
+    for kind, table in _feature_tables(data, labels, kinds, target, cmp).items():
         solution = solve_folds(table, labels, np.arange(len(data)), cfg)
-        reports[kind] = _report(data, kind, solution.decisions, solution.converged)
+        reports[kind] = _report(data, labels, kind, solution.decisions, solution.converged)
     return reports
 
 

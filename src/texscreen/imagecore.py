@@ -1,7 +1,8 @@
-"""Raster primitives: portable graymap/pixmap IO, grayscale conversion, resizing.
+"""Raster primitives: portable graymap/pixmap IO and resizing.
 
 Only uncompressed netpbm formats with maxval 255 are handled (P2/P5 graymaps,
-P3/P6 pixmaps), which keeps image IO bit-exact and dependency-free. Every
+P3/P6 pixmaps), which keeps image IO bit-exact and dependency-free. Pixmaps
+become gray as they are decoded, so `GrayImage` is the only raster. Every
 place a real number becomes a pixel value uses round-half-up.
 """
 
@@ -24,17 +25,6 @@ class PnmDecodeError(ValueError):
         self.offset = offset
 
 
-def _checked_pixels(a: np.ndarray) -> np.ndarray:
-    """Pixels of at least 1x1 as uint8, after checking integer values in [0, 255]."""
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError("image must be at least 1x1")
-    if not np.issubdtype(a.dtype, np.integer):
-        raise ValueError("pixel values must be integers")
-    if a.min() < 0 or a.max() > 255:
-        raise ValueError("pixel values must lie in [0, 255]")
-    return a.astype(np.uint8)
-
-
 @dataclass(eq=False)
 class GrayImage:
     """Single-channel 8-bit raster, row-major."""
@@ -45,36 +35,13 @@ class GrayImage:
         a = np.asarray(self.pixels)
         if a.ndim != 2:
             raise ValueError("gray image pixels must form a 2-D array")
-        self.pixels = _checked_pixels(a)
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-
-@dataclass(eq=False)
-class RgbImage:
-    """Three-channel 8-bit raster, row-major, channel order (r, g, b)."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.pixels)
-        if a.ndim != 3 or a.shape[2] != 3:
-            raise ValueError("rgb image pixels must form an (H, W, 3) array")
-        self.pixels = _checked_pixels(a)
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
+        if a.shape[0] < 1 or a.shape[1] < 1:
+            raise ValueError("image must be at least 1x1")
+        if not np.issubdtype(a.dtype, np.integer):
+            raise ValueError("pixel values must be integers")
+        if a.min() < 0 or a.max() > 255:
+            raise ValueError("pixel values must lie in [0, 255]")
+        self.pixels = a.astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -123,10 +90,10 @@ def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
     return int(token), start, end
 
 
-def decode_image(data: bytes) -> GrayImage | RgbImage:
-    """Decode a P2/P5 graymap or P3/P6 pixmap with maxval 255.
+def decode_image(data: bytes) -> GrayImage:
+    """Decode a P2/P5 graymap or P3/P6 pixmap with maxval 255 to gray.
 
-    Returns a GrayImage for graymaps and an RgbImage for pixmaps. Raises
+    Pixmaps are converted with BT.601 luma weights (see `_luma`). Raises
     PnmDecodeError for bad magic, malformed or missing header tokens,
     maxval other than 255, zero dimensions, and truncated payloads; the
     error carries the byte offset of the defect.
@@ -176,7 +143,7 @@ def decode_image(data: bytes) -> GrayImage | RgbImage:
 
     if channels == 1:
         return GrayImage(values.reshape(height, width))
-    return RgbImage(values.reshape(height, width, 3))
+    return GrayImage(_luma(values.reshape(height, width, 3)))
 
 
 def encode_pgm(img: GrayImage) -> bytes:
@@ -184,23 +151,24 @@ def encode_pgm(img: GrayImage) -> bytes:
 
     decode_image(encode_pgm(img)) reproduces img exactly.
     """
-    header = f"P5 {img.width} {img.height} 255\n".encode("ascii")
+    height, width = img.pixels.shape
+    header = f"P5 {width} {height} 255\n".encode("ascii")
     return header + img.pixels.tobytes()
 
 
-def to_grayscale(img: RgbImage) -> GrayImage:
-    """Convert an RgbImage to gray with BT.601 luma weights 0.299/0.587/0.114.
+def _luma(p: np.ndarray) -> np.ndarray:
+    """Gray levels of (H, W, 3) uint8 (r, g, b) pixels, with BT.601 luma
+    weights 0.299/0.587/0.114.
 
     Computed in exact integer milli-weights with decimal round-half-up,
     so (v, v, v) maps to v for every v. The weights sum to one, hence the
     result always lands in [0, 255]. The sum peaks at 255,500, so it is
     accumulated one channel at a time in uint32.
     """
-    p = img.pixels
     luma = p[..., 0] * np.uint32(299) + p[..., 1] * np.uint32(587)
     luma += p[..., 2] * np.uint32(114) + 500
     luma //= 1000
-    return GrayImage(luma)
+    return luma
 
 
 def resize_bilinear(img: GrayImage, target: Resolution) -> GrayImage:

@@ -59,7 +59,10 @@ def report_from_confusion(nn, na, an, aa):
             entries.append(DatasetEntry(f"s{len(entries):03d}", None, true, 1))
             decisions.append(float(pred))
     converged = np.ones(len(entries), dtype=bool)
-    return _report(LabeledDataset(entries), FeatureKind.LBP, np.array(decisions), converged)
+    labels = np.array([e.label for e in entries])
+    return _report(
+        LabeledDataset(entries), labels, FeatureKind.LBP, np.array(decisions), converged
+    )
 
 
 def lbp_reference(pixels, strict=True):

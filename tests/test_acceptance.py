@@ -27,15 +27,7 @@ from texscreen.evaluation import (
     sweep_to_table,
 )
 from texscreen.features import Comparator, FeatureKind, lbp_histogram, lbp_transform
-from texscreen.imagecore import (
-    GrayImage,
-    Resolution,
-    RgbImage,
-    decode_image,
-    encode_pgm,
-    resize_bilinear,
-    to_grayscale,
-)
+from texscreen.imagecore import GrayImage, Resolution, decode_image, encode_pgm, resize_bilinear
 
 
 def test_criterion_1_report_arithmetic():
@@ -170,8 +162,8 @@ def test_criterion_5_resolution_sweep(synthetic_benchmark):
 
 
 def test_criterion_6_numeric_micro_checks():
-    red = RgbImage(np.array([[[255, 0, 0]]], dtype=np.int64))
-    assert to_grayscale(red).pixels[0, 0] == 76
+    red = decode_image(b"P6 1 1 255\n\xff\x00\x00")
+    assert red.pixels[0, 0] == 76
 
     square = GrayImage([[0, 100], [200, 60]])
     assert resize_bilinear(square, Resolution(1, 1)).pixels[0, 0] == 90

@@ -159,7 +159,11 @@ class TestSolver:
         problems = [(*_random_problem(rng, 12, 4), SolverConfig(c=c)) for c in (0.1, 1.0, 10.0)]
         y = np.array([e.label for e in synthetic_benchmark.entries])
         x = _feature_tables(
-            synthetic_benchmark, (FeatureKind.LBP,), Resolution(64, 48), Comparator.STRICT_GREATER
+            synthetic_benchmark,
+            y,
+            (FeatureKind.LBP,),
+            Resolution(64, 48),
+            Comparator.STRICT_GREATER,
         )[FeatureKind.LBP]
         problems.append((x, y, SolverConfig(c=10.0, max_outer_iterations=1000)))
         for x, y, cfg in problems:
@@ -215,7 +219,8 @@ class TestPerFoldReference:
         return sol
 
     def _tables(self, dataset, kinds, target):
-        return _feature_tables(dataset, kinds, target, Comparator.STRICT_GREATER)
+        labels = np.array([e.label for e in dataset.entries])
+        return _feature_tables(dataset, labels, kinds, target, Comparator.STRICT_GREATER)
 
     @pytest.mark.parametrize("target", [Resolution(64, 48), Resolution(50, 37)])
     def test_default_config_every_kind(self, synthetic_benchmark, target):

@@ -423,6 +423,11 @@ class TestFailurePaths:
             ["synth", "--out", "unused", "--seed", str(2**64)],
             ["synth", "--out", "unused", "--per-class", "1"],
             ["synth", "--out", "unused", "--width", "7"],
+            ["loocv", "--manifest", "m.csv\0x"],
+            ["extract", "--manifest", "x.csv", "--out", "o\0ut"],
+            ["loocv", "--manifest", "x.csv", "--out", "r\0.json"],
+            ["sweep", "--manifest", "x.csv", "--out", "s\0.json"],
+            ["synth", "--out", "x\0y"],
         ],
         ids=lambda argv: " ".join(argv[2:]),
     )

@@ -87,7 +87,9 @@ class TestBuildReport:
 
     def test_single_incorrect_fold(self):
         only = LabeledDataset((DatasetEntry("only", None, 1, 1),))
-        report = _report(only, FeatureKind.LBP, np.array([-0.25]), np.array([False]))
+        report = _report(
+            only, np.array([1]), FeatureKind.LBP, np.array([-0.25]), np.array([False])
+        )
         assert report.n == 1 and report.correct == 0 and report.unconverged == 1
         assert render_percent(report.correct, report.n) == "0.0%"
         assert report.misclassified_ids == ("only",)
@@ -169,7 +171,8 @@ class TestFeatureTable:
     @pytest.mark.parametrize("target", [Resolution(50, 37), Resolution(7, 11)])
     def test_rows_equal_unfused_extraction(self, synthetic_benchmark, target):
         dataset = synthetic_benchmark
-        tables = _feature_tables(dataset, self.KINDS, target, Comparator.STRICT_GREATER)
+        labels = np.array([e.label for e in dataset.entries])
+        tables = _feature_tables(dataset, labels, self.KINDS, target, Comparator.STRICT_GREATER)
         for kind, d in zip(self.KINDS, (256, 256, 512)):
             matrix = tables[kind]
             assert matrix.shape == (len(dataset), d)
@@ -179,8 +182,10 @@ class TestFeatureTable:
                 assert np.array_equal(row, expected)
 
     def test_only_requested_kinds(self):
+        data = _tiny_dataset()
+        labels = np.array([e.label for e in data.entries])
         tables = _feature_tables(
-            _tiny_dataset(), (FeatureKind.CONCAT,), Resolution(8, 8), Comparator.GREATER_EQUAL
+            data, labels, (FeatureKind.CONCAT,), Resolution(8, 8), Comparator.GREATER_EQUAL
         )
         assert list(tables) == [FeatureKind.CONCAT]
 

@@ -8,25 +8,36 @@ from texscreen.imagecore import (
     GrayImage,
     PnmDecodeError,
     Resolution,
-    RgbImage,
     decode_image,
     encode_pgm,
     resize_bilinear,
-    to_grayscale,
 )
+
+
+def _p6(rgb: np.ndarray) -> bytes:
+    """A binary pixmap of (H, W, 3) pixels."""
+    h, w, _ = rgb.shape
+    return f"P6 {w} {h} 255\n".encode() + rgb.astype(np.uint8).tobytes()
+
+
+def _p3(rgb: np.ndarray) -> bytes:
+    """An ASCII pixmap of (H, W, 3) pixels."""
+    h, w, _ = rgb.shape
+    return f"P3 {w} {h} 255\n".encode() + " ".join(map(str, rgb.ravel().tolist())).encode()
 
 
 class TestDecode:
     def test_binary_graymap(self):
         img = decode_image(b"P5 2 2 255\n" + bytes([0, 128, 255, 64]))
         assert isinstance(img, GrayImage)
-        assert (img.width, img.height) == (2, 2)
+        assert img.pixels.shape == (2, 2)
         assert img.pixels.ravel().tolist() == [0, 128, 255, 64]
 
     def test_binary_pixmap(self):
         img = decode_image(b"P6 1 1 255\n" + bytes([10, 20, 30]))
-        assert isinstance(img, RgbImage)
-        assert img.pixels[0, 0].tolist() == [10, 20, 30]
+        assert isinstance(img, GrayImage)
+        # (299 * 10 + 587 * 20 + 114 * 30 + 500) // 1000
+        assert img.pixels.tolist() == [[18]]
 
     def test_ascii_graymap(self):
         img = decode_image(b"P2 3 1 255\n0 127 255\n")
@@ -35,8 +46,8 @@ class TestDecode:
 
     def test_ascii_pixmap(self):
         img = decode_image(b"P3 1 2 255\n1 2 3  4 5 6\n")
-        assert isinstance(img, RgbImage)
-        assert img.pixels.reshape(-1).tolist() == [1, 2, 3, 4, 5, 6]
+        assert isinstance(img, GrayImage)
+        assert img.pixels.tolist() == [[2], [5]]
 
     def test_header_comments_are_skipped(self):
         img = decode_image(b"P5 # a comment\n2 1 # another\n255\n\x07\x08")
@@ -145,26 +156,25 @@ class TestEncode:
 class TestGrayscale:
     def test_gray_pixels_are_fixed_points(self):
         v = np.arange(256, dtype=np.int64)
-        img = RgbImage(np.stack([v, v, v], axis=-1).reshape(16, 16, 3))
-        assert np.array_equal(to_grayscale(img).pixels.ravel(), v)
+        rgb = np.stack([v, v, v], axis=-1).reshape(16, 16, 3)
+        for encode in (_p6, _p3):
+            assert np.array_equal(decode_image(encode(rgb)).pixels.ravel(), v)
 
     @pytest.mark.parametrize(
         "rgb,expected",
         [((255, 0, 0), 76), ((0, 255, 0), 150), ((0, 0, 255), 29), ((255, 255, 255), 255)],
     )
     def test_channel_weights(self, rgb, expected):
-        img = RgbImage(np.array([[rgb]], dtype=np.int64))
-        assert to_grayscale(img).pixels[0, 0] == expected
+        assert decode_image(_p6(np.array([[rgb]]))).pixels[0, 0] == expected
 
     def test_half_up_on_exact_decimal_half(self):
         # 0.114 * 250 = 28.5 exactly in decimal arithmetic
-        img = RgbImage(np.array([[(0, 0, 250)]], dtype=np.int64))
-        assert to_grayscale(img).pixels[0, 0] == 29
+        assert decode_image(_p6(np.array([[(0, 0, 250)]]))).pixels[0, 0] == 29
 
     def test_shape_and_range(self):
         rng = np.random.default_rng(5)
         pixels = rng.integers(0, 256, size=(9, 13, 3))
-        gray = to_grayscale(RgbImage(pixels))
+        gray = decode_image(_p6(pixels))
         assert gray.pixels.shape == (9, 13)
         assert gray.pixels.min() >= 0 and gray.pixels.max() <= 255
 
@@ -262,7 +272,7 @@ class TestResize:
     @given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40)))
     def test_identity_at_source_resolution_property(self, pixels):
         img = GrayImage(pixels)
-        out = resize_bilinear(img, Resolution(img.width, img.height))
+        out = resize_bilinear(img, Resolution(pixels.shape[1], pixels.shape[0]))
         assert np.array_equal(out.pixels, pixels)
 
     def test_constant_image_stays_constant(self):
@@ -270,7 +280,7 @@ class TestResize:
         for target in (Resolution(1, 1), Resolution(3, 9), Resolution(20, 2)):
             out = resize_bilinear(img, target)
             assert (out.pixels == 42).all()
-            assert (out.width, out.height) == (target.width, target.height)
+            assert out.pixels.shape == (target.height, target.width)
 
     def test_two_by_two_average(self):
         img = GrayImage([[0, 100], [200, 60]])
@@ -302,23 +312,22 @@ class TestTypes:
             GrayImage(np.zeros((2, 2, 2), dtype=np.uint8))
 
     @pytest.mark.parametrize(
-        "cls, pixels, message",
+        "pixels, message",
         [
-            (GrayImage, np.zeros((0, 4), dtype=np.uint8), "at least 1x1"),
-            (RgbImage, np.zeros((3, 0, 3), dtype=np.uint8), "at least 1x1"),
-            (GrayImage, np.full((2, 2), 0.5), "must be integers"),
-            (RgbImage, np.full((2, 2, 3), 0.5), "must be integers"),
-            (GrayImage, np.array([[0, 256]]), r"\[0, 255\]"),
-            (RgbImage, np.full((1, 1, 3), -1), r"\[0, 255\]"),
+            pytest.param(
+                np.zeros((0, 4), dtype=np.uint8), "at least 1x1", id="GrayImage-pixels0-at least 1x1"
+            ),
+            pytest.param(
+                np.full((2, 2), 0.5), "must be integers", id="GrayImage-pixels2-must be integers"
+            ),
+            pytest.param(
+                np.array([[0, 256]]), r"\[0, 255\]", id=r"GrayImage-pixels4-\[0, 255\]"
+            ),
         ],
     )
-    def test_both_rasters_share_pixel_checks(self, cls, pixels, message):
+    def test_both_rasters_share_pixel_checks(self, pixels, message):
         with pytest.raises(ValueError, match=message):
-            cls(pixels)
-
-    def test_rgb_requires_three_channels(self):
-        with pytest.raises(ValueError):
-            RgbImage(np.zeros((2, 2, 4), dtype=np.uint8))
+            GrayImage(pixels)
 
     def test_resolution_must_be_positive(self):
         with pytest.raises(ValueError):

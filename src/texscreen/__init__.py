@@ -15,6 +15,7 @@ from .evaluation import (
     DEFAULT_RESOLUTION,
     DEFAULT_SWEEP_RESOLUTIONS,
     EvalReport,
+    feature_tables,
     loocv,
     render_percent,
     resolution_sweep,
@@ -24,10 +25,7 @@ from .features import (
     FeatureKind,
     extract_feature,
     format_feature,
-    gray_histogram,
-    lbp_histogram,
     lbp_transform,
-    normalize_l1,
 )
 from .imagecore import (
     GrayImage,
@@ -57,15 +55,13 @@ __all__ = [
     "decode_image",
     "encode_pgm",
     "extract_feature",
+    "feature_tables",
     "filter_group",
     "format_feature",
     "generate_synthetic",
-    "gray_histogram",
-    "lbp_histogram",
     "lbp_transform",
     "load_manifest",
     "loocv",
-    "normalize_l1",
     "render_percent",
     "resize_bilinear",
     "resolution_sweep",

@@ -34,6 +34,7 @@ from .evaluation import (
     DEFAULT_RESOLUTION,
     DEFAULT_SWEEP_RESOLUTIONS,
     EvalReport,
+    feature_tables,
     loocv,
     report_to_json,
     report_to_table,
@@ -41,8 +42,8 @@ from .evaluation import (
     sweep_to_json,
     sweep_to_table,
 )
-from .features import Comparator, FeatureKind, extract_feature, format_feature
-from .imagecore import PnmDecodeError, Resolution, decode_image, encode_pgm, resize_bilinear
+from .features import Comparator, FeatureKind, format_feature
+from .imagecore import PnmDecodeError, Resolution, decode_image, encode_pgm
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -237,15 +238,14 @@ def _write_text(out: str | None, text: str) -> None:
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.manifest, args.group)
-    target = Resolution(args.width, args.height)
-    cmp = _COMPARATORS[args.comparator]
     kind = FeatureKind(args.kind)
-    lines = [
-        format_feature(kind, extract_feature(resize_bilinear(e.image, target), kind, cmp))
-        + "\n"
-        for e in dataset.entries
-    ]
-    _write_text(args.out, "".join(lines))
+    table = feature_tables(
+        [e.image for e in dataset.entries],
+        (kind,),
+        Resolution(args.width, args.height),
+        _COMPARATORS[args.comparator],
+    )[kind]
+    _write_text(args.out, "".join(format_feature(kind, row) + "\n" for row in table))
     return EXIT_OK
 
 

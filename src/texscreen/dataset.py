@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +146,11 @@ def load_manifest(data: bytes | str) -> LabeledDataset:
             raise ManifestError(f"invalid UTF-8 at byte {exc.start}", line) from None
     else:
         text = data
-    lines = text.splitlines()
+    # only CR, LF and CRLF end a line: `str.splitlines` would also split
+    # inside ids and paths that hold other line-break characters
+    lines = re.split(r"\r\n|\r|\n", text)
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         raise ManifestError("missing header", 1)
     header = tuple(next(csv.reader([lines[0]])))

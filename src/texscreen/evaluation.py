@@ -2,12 +2,14 @@
 
 Every sample is held out once: the image is resized to the working
 resolution, the requested feature extracted, a model trained on all other
-samples, and the held-out sample predicted. The folds of one feature table
-are solved together (`classifier.solve_folds`). `EvalReport` is the one
-result type: `loocv` returns one, and `resolution_sweep` returns each
-resolution's reports keyed by kind. Accuracies are kept as exact integer
-ratios; rendering to percent (one decimal, round-half-up, optional decimal
-comma) happens only at the output boundary.
+samples, and the held-out sample predicted. `feature_tables` is the one
+place images are resized and featurized, for `extract` as for evaluation,
+and the folds of one feature table are solved together
+(`classifier.solve_folds`). `EvalReport` is the one result type: `loocv`
+returns one, and `resolution_sweep` returns each resolution's reports keyed
+by kind. Accuracies are kept as exact integer ratios; rendering to percent
+(one decimal, round-half-up, optional decimal comma) happens only at the
+output boundary.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .classifier import SolverConfig, solve_folds
 from .dataset import LABEL_ADULTERATED, LABEL_NORMAL, LabeledDataset
 from .features import Comparator, FeatureKind, extract_feature
-from .imagecore import Resolution, resize_bilinear
+from .imagecore import GrayImage, Resolution, resize_bilinear
 
 # 4:3 sweep grid from 50x37 up to the default working resolution 300x225
 DEFAULT_SWEEP_RESOLUTIONS = tuple(
@@ -88,51 +90,31 @@ def render_percent(numerator: int, denominator: int, decimal_comma: bool = False
     return f"{tenths // 10}{separator}{tenths % 10}%"
 
 
-def _feature_tables(
-    data: LabeledDataset,
-    labels: np.ndarray,
+def feature_tables(
+    images: Sequence[GrayImage],
     kinds: Sequence[FeatureKind],
     target: Resolution,
-    cmp: Comparator,
+    cmp: Comparator = Comparator.STRICT_GREATER,
 ) -> dict[FeatureKind, np.ndarray]:
-    """Per requested kind, the (n, d) matrix of every entry's feature;
-    `labels` holds the entries' labels in dataset order.
+    """Per requested kind, the (n, d) matrix whose row i is the feature of
+    `images[i]` resized to `target`.
 
     Each image is resized once and histogrammed once per base kind; CONCAT
-    joins the LBP and GRAY matrices instead of extracting again. This is
-    where every leave-one-out run starts, so LOOCV's preconditions on the
-    dataset are checked here.
+    joins the LBP and GRAY matrices instead of extracting again. No image
+    gives (0, d) matrices.
     """
-    if len(data) < 3:
-        raise ValueError("dataset needs at least 3 entries")
-    if set(labels.tolist()) != {LABEL_ADULTERATED, LABEL_NORMAL}:
-        raise ValueError("dataset must contain both labels")
-    for e in data.entries:
-        if e.image is None:
-            raise ValueError(f"entry {e.sample_id!r} has no decoded image")
-    if target.width < 3 or target.height < 3:
-        raise ValueError("evaluation resolutions must be at least 3x3")
-    # holding out the only sample of its class leaves a one-class training set
-    _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
-    if (sizes == 1).any():
-        lone = data.entries[first[sizes == 1].min()]
-        raise ValueError(
-            f"fold holding out {lone.sample_id!r} is untrainable: "
-            "training set must contain both labels"
-        )
-    base: dict[FeatureKind, list[np.ndarray]] = {
-        kind: []
+    base = {
+        kind: np.empty((len(images), 256))
         for kind in (FeatureKind.LBP, FeatureKind.GRAY)
         if kind in kinds or FeatureKind.CONCAT in kinds
     }
-    for entry in data.entries:
-        resized = resize_bilinear(entry.image, target)
-        for kind, vectors in base.items():
-            vectors.append(extract_feature(resized, kind, cmp))
-    tables = {kind: np.stack(vectors) for kind, vectors in base.items()}
+    for i, image in enumerate(images):
+        resized = resize_bilinear(image, target)
+        for kind, table in base.items():
+            table[i] = extract_feature(resized, kind, cmp)
     if FeatureKind.CONCAT in kinds:
-        tables[FeatureKind.CONCAT] = np.hstack([tables[FeatureKind.LBP], tables[FeatureKind.GRAY]])
-    return {kind: tables[kind] for kind in kinds}
+        base[FeatureKind.CONCAT] = np.hstack([base[FeatureKind.LBP], base[FeatureKind.GRAY]])
+    return {kind: base[kind] for kind in kinds}
 
 
 def _predicted_label(decisions: np.ndarray) -> np.ndarray:
@@ -172,23 +154,50 @@ def _report(
 
 def _loocv_reports(
     data: LabeledDataset,
+    resolutions: Sequence[Resolution],
     kinds: Sequence[FeatureKind],
-    target: Resolution,
     cmp: Comparator,
     cfg: SolverConfig | None,
-) -> dict[FeatureKind, EvalReport]:
-    """Each kind's leave-one-out report at one resolution.
+) -> dict[Resolution, dict[FeatureKind, EvalReport]]:
+    """Each resolution's leave-one-out reports of each kind, in request order.
 
-    Images are resized from their originals inside the run, so the target
-    resolution is a parameter of the experiment, not of the dataset. All
-    folds of a kind's feature table are solved together.
+    Every leave-one-out run starts here, so LOOCV's preconditions are
+    checked here, once, before any image is resized. Images are resized
+    from their originals inside the run, so the resolution is a parameter
+    of the experiment, not of the dataset. All folds of a kind's feature
+    table are solved together.
     """
+    if not resolutions:
+        raise ValueError("at least one resolution is required")
+    if len(set(resolutions)) != len(resolutions):
+        raise ValueError("duplicate resolutions are not allowed")
+    if len(data) < 3:
+        raise ValueError("dataset needs at least 3 entries")
     labels = np.array([e.label for e in data.entries])
-    reports = {}
-    for kind, table in _feature_tables(data, labels, kinds, target, cmp).items():
-        solution = solve_folds(table, labels, np.arange(len(data)), cfg)
-        reports[kind] = _report(data, labels, kind, solution.decisions, solution.converged)
-    return reports
+    if set(labels.tolist()) != {LABEL_ADULTERATED, LABEL_NORMAL}:
+        raise ValueError("dataset must contain both labels")
+    for e in data.entries:
+        if e.image is None:
+            raise ValueError(f"entry {e.sample_id!r} has no decoded image")
+    if any(res.width < 3 or res.height < 3 for res in resolutions):
+        raise ValueError("evaluation resolutions must be at least 3x3")
+    # holding out the only sample of its class leaves a one-class training set
+    _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
+    if (sizes == 1).any():
+        lone = data.entries[first[sizes == 1].min()]
+        raise ValueError(
+            f"fold holding out {lone.sample_id!r} is untrainable: "
+            "training set must contain both labels"
+        )
+    images = [e.image for e in data.entries]
+    held_out = np.arange(len(data))
+    sweep = {}
+    for res in resolutions:
+        reports = sweep[res] = {}
+        for kind, table in feature_tables(images, kinds, res, cmp).items():
+            solution = solve_folds(table, labels, held_out, cfg)
+            reports[kind] = _report(data, labels, kind, solution.decisions, solution.converged)
+    return sweep
 
 
 def loocv(
@@ -200,7 +209,7 @@ def loocv(
 ) -> EvalReport:
     """Leave-one-out cross-validation at one resolution and feature kind."""
     kind = FeatureKind(kind)
-    return _loocv_reports(data, (kind,), target, cmp, cfg)[kind]
+    return _loocv_reports(data, (target,), (kind,), cmp, cfg)[target][kind]
 
 
 def resolution_sweep(
@@ -215,11 +224,7 @@ def resolution_sweep(
     Each (resolution, image) pair is resized and histogrammed once; each
     kind's table of the row then has all its folds solved together.
     """
-    if not resolutions:
-        raise ValueError("at least one resolution is required")
-    if len(set(resolutions)) != len(resolutions):
-        raise ValueError("duplicate resolutions are not allowed")
-    return {res: _loocv_reports(data, SWEEP_KINDS, res, cmp, cfg) for res in resolutions}
+    return _loocv_reports(data, resolutions, SWEEP_KINDS, cmp, cfg)
 
 
 def _class_block(correct: int, total: int, decimal_comma: bool) -> dict:

@@ -3,8 +3,9 @@
 The LBP code of an interior pixel packs the eight neighbor comparisons into
 one byte, most significant bit first: NW=7, then clockwise N=6, NE=5, E=4,
 SE=3, S=2, SW=1, W=0. Border pixels produce no code, so the code matrix is
-two pixels smaller than the image in each direction. Histograms are 256-bin
-counts; classification consumes their L1-normalized form.
+two pixels smaller than the image in each direction. A histogram is the
+256 bin counts of the codes (LBP) or of the pixels (GRAY), divided by their
+total so it sums to one.
 
 A feature is a plain float64 vector: 256 values for LBP or GRAY, 512 for
 CONCAT (the LBP block, then the GRAY block). The kind is an argument of the
@@ -68,22 +69,10 @@ def lbp_transform(img: GrayImage, cmp: Comparator = Comparator.STRICT_GREATER) -
     return codes
 
 
-def lbp_histogram(codes: np.ndarray) -> np.ndarray:
-    """256 code counts; the total equals the number of code cells."""
-    return np.bincount(codes.ravel(), minlength=256)
-
-
-def gray_histogram(img: GrayImage) -> np.ndarray:
-    """256 intensity counts; the total equals the pixel count."""
-    return np.bincount(img.pixels.ravel(), minlength=256)
-
-
-def normalize_l1(hist: np.ndarray) -> np.ndarray:
-    """Divide 256 bin counts by their total so the values sum to one."""
-    total = hist.sum()
-    if total == 0:
-        raise ValueError("cannot normalize a zero-total histogram")
-    return hist / total
+def _histogram(values: np.ndarray) -> np.ndarray:
+    """256 bin counts of non-empty uint8 `values`, divided by their total."""
+    counts = np.bincount(values.ravel(), minlength=256)
+    return counts / counts.sum()
 
 
 def extract_feature(
@@ -98,11 +87,11 @@ def extract_feature(
     """
     kind = FeatureKind(kind)
     if kind is FeatureKind.GRAY:
-        return normalize_l1(gray_histogram(img))
-    lbp = normalize_l1(lbp_histogram(lbp_transform(img, cmp)))
+        return _histogram(img.pixels)
+    lbp = _histogram(lbp_transform(img, cmp))
     if kind is FeatureKind.LBP:
         return lbp
-    return np.concatenate([lbp, normalize_l1(gray_histogram(img))])
+    return np.concatenate([lbp, _histogram(img.pixels)])
 
 
 def format_feature(kind: FeatureKind, values: np.ndarray) -> str:

@@ -87,7 +87,10 @@ def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
     token, start, end = _read_token(data, pos, what)
     if not token.isdigit():
         raise PnmDecodeError(f"malformed {what} token {token!r}", start)
-    return int(token), start, end
+    try:
+        return int(token), start, end
+    except ValueError:  # beyond Python's integer string conversion limit
+        raise PnmDecodeError(f"{what} token of {len(token)} digits is too long", start) from None
 
 
 def decode_image(data: bytes) -> GrayImage:

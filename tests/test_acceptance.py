@@ -26,7 +26,7 @@ from texscreen.evaluation import (
     sweep_to_json,
     sweep_to_table,
 )
-from texscreen.features import Comparator, FeatureKind, lbp_histogram, lbp_transform
+from texscreen.features import Comparator, FeatureKind, extract_feature, lbp_transform
 from texscreen.imagecore import GrayImage, Resolution, decode_image, encode_pgm, resize_bilinear
 
 
@@ -57,7 +57,10 @@ def test_criterion_2_lbp_kernel_suite():
     for _ in range(10):
         h, w = rng.integers(3, 24, size=2)
         img = GrayImage(rng.integers(0, 256, size=(h, w)))
-        assert lbp_histogram(lbp_transform(img)).sum() == (h - 2) * (w - 2)
+        cells = (h - 2) * (w - 2)
+        counts = extract_feature(img, FeatureKind.LBP) * cells
+        assert np.abs(counts - np.rint(counts)).max() < 1e-9
+        assert np.rint(counts).sum() == cells
 
     pixels = rng.integers(0, 200, size=(9, 9))
     assert np.array_equal(

@@ -14,8 +14,8 @@ from conftest import (
     train_on_all,
 )
 from texscreen.classifier import SolverConfig, projected_gradient, solve_folds
-from texscreen.evaluation import _feature_tables, _predicted_label
-from texscreen.features import Comparator, FeatureKind
+from texscreen.evaluation import _predicted_label, feature_tables
+from texscreen.features import FeatureKind
 from texscreen.imagecore import Resolution
 
 XOR_POINTS = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
@@ -158,12 +158,10 @@ class TestSolver:
         rng = np.random.default_rng(103)
         problems = [(*_random_problem(rng, 12, 4), SolverConfig(c=c)) for c in (0.1, 1.0, 10.0)]
         y = np.array([e.label for e in synthetic_benchmark.entries])
-        x = _feature_tables(
-            synthetic_benchmark,
-            y,
+        x = feature_tables(
+            [e.image for e in synthetic_benchmark.entries],
             (FeatureKind.LBP,),
             Resolution(64, 48),
-            Comparator.STRICT_GREATER,
         )[FeatureKind.LBP]
         problems.append((x, y, SolverConfig(c=10.0, max_outer_iterations=1000)))
         for x, y, cfg in problems:
@@ -219,8 +217,7 @@ class TestPerFoldReference:
         return sol
 
     def _tables(self, dataset, kinds, target):
-        labels = np.array([e.label for e in dataset.entries])
-        return _feature_tables(dataset, labels, kinds, target, Comparator.STRICT_GREATER)
+        return feature_tables([e.image for e in dataset.entries], kinds, target)
 
     @pytest.mark.parametrize("target", [Resolution(64, 48), Resolution(50, 37)])
     def test_default_config_every_kind(self, synthetic_benchmark, target):

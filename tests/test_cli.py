@@ -365,6 +365,16 @@ class TestFailurePaths:
         code = main(["loocv", "--manifest", str(manifest)])
         assert code in (EXIT_INVALID_DATA, EXIT_UNREADABLE)
 
+    def test_overlong_header_number_exits_invalid_data(self, tmp_path, capsys):
+        (tmp_path / "long.pgm").write_bytes(b"P5 " + b"1" * 5000 + b" 1 255\n\x00")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("id,path,label,group\na,long.pgm,normal,1\n")
+        code = main(["extract", "--manifest", str(manifest)])
+        assert code == EXIT_INVALID_DATA
+        assert capsys.readouterr().err == (
+            "texscreen: invalid data: width token of 5000 digits is too long (byte offset 3)\n"
+        )
+
     def test_untrainable_fold_exits_processing(self, tmp_path, capsys):
         bench = _synth(tmp_path)
         manifest_lines = (bench / "manifest.csv").read_text().splitlines()
@@ -561,6 +571,13 @@ _BAD_IMAGE = st.one_of(  # drawn as in the decoder's arbitrary-bytes test
         st.sampled_from([b"P2 ", b"P3 ", b"P5 ", b"P6 ", b"P2\n#c\n"]),
         st.lists(st.integers(0, 2**64), min_size=0, max_size=3).map(lambda dims: dims + [255]),
         st.binary(max_size=32),
+    ),
+    st.builds(
+        lambda prefix, digit, run, tail: prefix + digit * run + tail,
+        st.sampled_from([b"P5 ", b"P2 1 ", b"P6 1 1 ", b"P3 1 1 255\n", b"P2 1 1 255\n"]),
+        st.sampled_from([b"0", b"1", b"9"]),
+        st.integers(4290, 4310),
+        st.binary(max_size=16),
     ),
 )
 _HEADER = "id,path,label,group"

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FROZEN_SPEC
@@ -20,6 +20,19 @@ from texscreen.dataset import (
 )
 from texscreen.features import FeatureKind, extract_feature
 from texscreen.imagecore import GrayImage
+
+
+# characters that `str.splitlines` splits on besides CR and LF
+_UNICODE_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# any id or path text but CR, LF (which end a line) and NUL (no path holds one)
+_MANIFEST_FIELD = st.text(
+    st.one_of(
+        st.characters(exclude_categories=("Cs",), exclude_characters="\r\n\0"),
+        st.sampled_from(_UNICODE_LINE_BREAKS),
+    ),
+    min_size=1,
+    max_size=12,
+)
 
 
 def _table_shaped_manifest():
@@ -95,6 +108,25 @@ class TestLoadManifest:
     def test_roundtrip_identity(self):
         manifest = _table_shaped_manifest()
         assert load_manifest(serialize_manifest(manifest)) == manifest
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                _MANIFEST_FIELD, _MANIFEST_FIELD, st.sampled_from([1, -1]), st.sampled_from([1, 2])
+            ),
+            max_size=6,
+            unique_by=lambda row: row[0],
+        )
+    )
+    @example([(f"id{ch}", f"p{ch}.pgm", 1, 1) for ch in _UNICODE_LINE_BREAKS])
+    def test_roundtrip_any_id_and_path(self, rows):
+        manifest = LabeledDataset(
+            tuple(DatasetEntry(i, None, label, group, path) for i, path, label, group in rows)
+        )
+        text = serialize_manifest(manifest)
+        assert load_manifest(text) == manifest
+        assert load_manifest(text.encode("utf-8")) == manifest
 
     def test_non_utf8_bytes_name_line(self):
         with pytest.raises(ManifestError, match="UTF-8") as err:

@@ -9,8 +9,8 @@ from texscreen.classifier import SolverConfig
 from texscreen.dataset import DatasetEntry, LabeledDataset
 from texscreen.evaluation import (
     DEFAULT_SWEEP_RESOLUTIONS,
-    _feature_tables,
     _report,
+    feature_tables,
     loocv,
     render_percent,
     report_to_json,
@@ -143,6 +143,19 @@ class TestLoocv:
         with pytest.raises(ValueError, match="at least 3x3"):
             loocv(data, FeatureKind.GRAY, Resolution(2, 2))
 
+    def test_sweep_checks_every_row_before_resizing(self, monkeypatch):
+        calls = []
+
+        def counted(image, target):
+            calls.append(target)
+            return resize_bilinear(image, target)
+
+        monkeypatch.setattr("texscreen.evaluation.resize_bilinear", counted)
+        data = _tiny_dataset()
+        with pytest.raises(ValueError, match="evaluation resolutions must be at least 3x3"):
+            resolution_sweep(data, [Resolution(8, 8), Resolution(10, 10), Resolution(2, 2)])
+        assert calls == []
+
     def test_deterministic_reports(self):
         data = _tiny_dataset(n_pairs=3)
         r1 = loocv(data, FeatureKind.CONCAT, Resolution(8, 8))
@@ -171,8 +184,7 @@ class TestFeatureTable:
     @pytest.mark.parametrize("target", [Resolution(50, 37), Resolution(7, 11)])
     def test_rows_equal_unfused_extraction(self, synthetic_benchmark, target):
         dataset = synthetic_benchmark
-        labels = np.array([e.label for e in dataset.entries])
-        tables = _feature_tables(dataset, labels, self.KINDS, target, Comparator.STRICT_GREATER)
+        tables = feature_tables([e.image for e in dataset.entries], self.KINDS, target)
         for kind, d in zip(self.KINDS, (256, 256, 512)):
             matrix = tables[kind]
             assert matrix.shape == (len(dataset), d)
@@ -183,11 +195,17 @@ class TestFeatureTable:
 
     def test_only_requested_kinds(self):
         data = _tiny_dataset()
-        labels = np.array([e.label for e in data.entries])
-        tables = _feature_tables(
-            data, labels, (FeatureKind.CONCAT,), Resolution(8, 8), Comparator.GREATER_EQUAL
+        tables = feature_tables(
+            [e.image for e in data.entries],
+            (FeatureKind.CONCAT,),
+            Resolution(8, 8),
+            Comparator.GREATER_EQUAL,
         )
         assert list(tables) == [FeatureKind.CONCAT]
+
+    def test_no_images_give_empty_tables(self):
+        tables = feature_tables([], self.KINDS, Resolution(8, 8))
+        assert [tables[kind].shape for kind in self.KINDS] == [(0, 256), (0, 256), (0, 512)]
 
     def test_sweep_row_matches_per_kind_loocv(self, synthetic_benchmark):
         dataset = synthetic_benchmark

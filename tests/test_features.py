@@ -10,10 +10,7 @@ from texscreen.features import (
     FeatureKind,
     extract_feature,
     format_feature,
-    gray_histogram,
-    lbp_histogram,
     lbp_transform,
-    normalize_l1,
 )
 from texscreen.imagecore import GrayImage
 
@@ -73,8 +70,8 @@ class TestLbpTransform:
     def test_rotation_changes_histogram(self):
         rng = np.random.default_rng(31)
         pixels = rng.integers(0, 256, size=(12, 16))
-        original = lbp_histogram(lbp_transform(GrayImage(pixels)))
-        rotated = lbp_histogram(lbp_transform(GrayImage(np.rot90(pixels).copy())))
+        original = extract_feature(GrayImage(pixels), FeatureKind.LBP)
+        rotated = extract_feature(GrayImage(np.rot90(pixels).copy()), FeatureKind.LBP)
         assert np.abs(original - rotated).sum() > 0
 
     @pytest.mark.parametrize("cmp", [Comparator.STRICT_GREATER, Comparator.GREATER_EQUAL])
@@ -99,15 +96,24 @@ class TestLbpTransform:
             assert got.tolist() == lbp_reference(pixels.tolist(), strict=strict)
 
 
+def _counts(fv, cells):
+    """The bin counts an L1-normalized histogram of `cells` values stands for."""
+    counts = np.rint(fv * cells)
+    assert np.abs(fv * cells - counts).max() < 1e-9
+    return counts.astype(np.int64)
+
+
 class TestHistograms:
     def test_lbp_histogram_single_value_mass(self):
-        h = lbp_histogram(np.zeros((3, 3), dtype=np.uint8))
+        # a constant 5x5 image has nine interior codes, all 0 (strict)
+        h = _counts(extract_feature(GrayImage(np.full((5, 5), 40)), FeatureKind.LBP), 9)
         assert h[0] == 9
         assert h[1:].sum() == 0
         assert h.sum() == 9
 
     def test_lbp_histogram_single_cell(self):
-        h = lbp_histogram(np.array([[143]], dtype=np.uint8))
+        fv = extract_feature(GrayImage([[6, 5, 2], [7, 5, 1], [9, 8, 7]]), FeatureKind.LBP)
+        h = _counts(fv, 1)
         assert h[143] == 1
         assert h.sum() == 1
 
@@ -116,52 +122,47 @@ class TestHistograms:
         for _ in range(10):
             h_, w_ = rng.integers(3, 20, size=2)
             img = GrayImage(rng.integers(0, 256, size=(h_, w_)))
-            hist = lbp_histogram(lbp_transform(img))
-            assert hist.sum() == (h_ - 2) * (w_ - 2)
+            cells = (h_ - 2) * (w_ - 2)
+            hist = _counts(extract_feature(img, FeatureKind.LBP), cells)
+            assert np.array_equal(hist, np.bincount(lbp_transform(img).ravel(), minlength=256))
+            assert hist.sum() == cells
 
     def test_gray_histogram_counts(self):
-        h = gray_histogram(GrayImage([[0, 0], [255, 255]]))
+        h = _counts(extract_feature(GrayImage([[0, 0], [255, 255]]), FeatureKind.GRAY), 4)
         assert h[0] == 2 and h[255] == 2
         assert h.sum() == 4
 
     def test_gray_histogram_constant(self):
-        h = gray_histogram(GrayImage(np.full((4, 5), 9)))
+        h = _counts(extract_feature(GrayImage(np.full((4, 5), 9)), FeatureKind.GRAY), 20)
         assert h[9] == 20 and h.sum() == 20
 
     def test_gray_histogram_permutation_invariant(self):
         rng = np.random.default_rng(43)
         pixels = rng.integers(0, 256, size=(6, 7))
         shuffled = rng.permutation(pixels.ravel()).reshape(7, 6)
-        a = gray_histogram(GrayImage(pixels))
-        b = gray_histogram(GrayImage(shuffled))
+        a = extract_feature(GrayImage(pixels), FeatureKind.GRAY)
+        b = extract_feature(GrayImage(shuffled), FeatureKind.GRAY)
         assert np.array_equal(a, b)
 
 
 class TestNormalizeAndConcat:
     def test_single_mass(self):
-        bins = np.zeros(256, dtype=np.int64)
-        bins[0] = 9
-        fv = normalize_l1(bins)
-        assert fv[0] == 1.0
-        assert fv[1:].sum() == 0.0
+        for kind in (FeatureKind.LBP, FeatureKind.GRAY):
+            fv = extract_feature(GrayImage(np.full((5, 5), 0)), kind)
+            assert fv[0] == 1.0
+            assert fv[1:].sum() == 0.0
 
     def test_equal_split(self):
-        bins = np.zeros(256, dtype=np.int64)
-        bins[0] = bins[1] = 1
-        fv = normalize_l1(bins)
+        fv = extract_feature(GrayImage([[0, 1]]), FeatureKind.GRAY)
         assert fv[0] == 0.5 and fv[1] == 0.5
-
-    def test_zero_total_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_l1(np.zeros(256, dtype=np.int64))
 
     def test_normalized_sum_is_one(self):
         rng = np.random.default_rng(47)
         for _ in range(10):
-            bins = rng.integers(0, 50, size=256)
-            bins[0] += 1  # non-zero total
-            fv = normalize_l1(bins)
-            assert abs(fv.sum() - 1.0) < 1e-12
+            img = GrayImage(rng.integers(0, 50, size=rng.integers(3, 20, size=2)))
+            for kind in (FeatureKind.LBP, FeatureKind.GRAY):
+                fv = extract_feature(img, kind)
+                assert abs(fv.sum() - 1.0) < 1e-12
 
     def test_concat_block_placement(self):
         # a constant image has every LBP code 0 (strict) and every pixel at 255
@@ -175,9 +176,14 @@ class TestNormalizeAndConcat:
         rng = np.random.default_rng(53)
         img = GrayImage(rng.integers(0, 256, size=(9, 8)))
         fv = extract_feature(img, FeatureKind.CONCAT, Comparator.GREATER_EQUAL)
-        lbp = normalize_l1(lbp_histogram(lbp_transform(img, Comparator.GREATER_EQUAL)))
+        codes = lbp_transform(img, Comparator.GREATER_EQUAL)
+        lbp = np.bincount(codes.ravel(), minlength=256) / codes.size
+        gray = np.bincount(img.pixels.ravel(), minlength=256) / img.pixels.size
         assert np.array_equal(fv[:256], lbp)
-        assert np.array_equal(fv[256:], normalize_l1(gray_histogram(img)))
+        assert np.array_equal(fv[256:], gray)
+        lbp_alone = extract_feature(img, FeatureKind.LBP, Comparator.GREATER_EQUAL)
+        assert np.array_equal(fv[:256], lbp_alone)
+        assert np.array_equal(fv[256:], extract_feature(img, FeatureKind.GRAY))
 
 
 class TestExtractAndSerialize:

@@ -112,6 +112,20 @@ class TestDecode:
             decode_image(data)
         assert err.value.offset == len(data)
 
+    @pytest.mark.parametrize(
+        "prefix,suffix,what",
+        [
+            (b"P5 ", b" 1 255\n\x00", "width"),
+            (b"P5 1 1 ", b"\n\x00", "maxval"),
+            (b"P2 1 1 255\n", b"", "pixel value"),
+        ],
+    )
+    def test_number_beyond_int_conversion_limit(self, prefix, suffix, what):
+        # Python refuses to convert a string of more than 4300 digits to int
+        with pytest.raises(PnmDecodeError, match=f"{what} token of 5000 digits") as err:
+            decode_image(prefix + b"1" * 5000 + suffix)
+        assert err.value.offset == len(prefix)
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.one_of(
@@ -122,6 +136,13 @@ class TestDecode:
                 st.lists(st.integers(0, 2**64), min_size=0, max_size=3)
                 .map(lambda dims: dims + [255]),
                 st.binary(max_size=32),
+            ),
+            st.builds(  # a digit run around the int conversion limit
+                lambda prefix, digit, run, tail: prefix + digit * run + tail,
+                st.sampled_from([b"P5 ", b"P2 1 ", b"P6 1 1 ", b"P3 1 1 255\n", b"P2 1 1 255\n"]),
+                st.sampled_from([b"0", b"1", b"9"]),
+                st.integers(4290, 4310),
+                st.binary(max_size=16),
             ),
         )
     )

@@ -43,3 +43,21 @@ def test_every_public_definition_is_used_in_the_package():
         and node.name not in referenced
     )
     assert unused == []
+
+
+def test_every_public_method_is_used_in_the_package():
+    # methods and properties of top-level classes; dunders and private names
+    # are out of scope
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    referenced = _referenced_names()
+    unused = sorted(
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path, tree in MODULES.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, functions)
+        and not node.name.startswith("_")
+        and node.name not in referenced
+    )
+    assert unused == []

@@ -38,6 +38,9 @@ LABEL_NORMAL = -1
 LABEL_NAMES = {LABEL_NORMAL: "normal", LABEL_ADULTERATED: "adulterated"}
 LABEL_VALUES = {name: value for value, name in LABEL_NAMES.items()}
 MANIFEST_HEADER = ("id", "path", "label", "group")
+# only CR, LF and CRLF end a manifest line: `str.splitlines` would also split
+# inside ids and paths that hold other line-break characters
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 class ManifestError(ValueError):
@@ -98,11 +101,16 @@ class SyntheticSpec:
             raise ValueError("synthetic images must be at least 8x8")
         if self.smoothing_radius < 0:
             raise ValueError("smoothing_radius must be non-negative")
+        if 2 * self.per_class * self.width * self.height >= 2**31:
+            raise ValueError(
+                "2 * per_class * width * height must be below 2^31, "
+                "the pixels generated at once"
+            )
 
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
-# Fisher-Yates indices are drawn this many at a time, so the shuffle's
+# Fisher-Yates indices are drawn this many at a time, so the draws' uint64
 # scratch memory stays fixed whatever the image size.
 _SHUFFLE_BLOCK = 8192
 
@@ -142,13 +150,11 @@ def load_manifest(data: bytes | str) -> LabeledDataset:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
+            line = len(_LINE_BREAK.split(data[: exc.start].decode("utf-8")))
             raise ManifestError(f"invalid UTF-8 at byte {exc.start}", line) from None
     else:
         text = data
-    # only CR, LF and CRLF end a line: `str.splitlines` would also split
-    # inside ids and paths that hold other line-break characters
-    lines = re.split(r"\r\n|\r|\n", text)
+    lines = _LINE_BREAK.split(text)
     if lines[-1] == "":
         lines.pop()
     if not lines:
@@ -207,25 +213,85 @@ def filter_group(dataset: LabeledDataset, group: int) -> LabeledDataset:
 
 
 def _box_blur(pixels: np.ndarray, radius: int) -> np.ndarray:
-    """Mean over a (2r+1)^2 window clipped to the image, rounded half-up."""
-    if radius == 0:
-        return pixels.copy()
+    """Mean over a (2r+1)^2 window clipped to the image, rounded half-up.
+
+    The window is separable: each axis's window sums are differences of its
+    running sums. A mean of pixels lies in [0, 255], so the result is uint8.
+    """
     h, w = pixels.shape
     radius = min(radius, max(h, w))  # a wider window clips to the same one
-    integral = np.zeros((h + 1, w + 1), dtype=np.int64)
-    integral[1:, 1:] = pixels.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
     y0 = np.maximum(np.arange(h) - radius, 0)
     y1 = np.minimum(np.arange(h) + radius + 1, h)
     x0 = np.maximum(np.arange(w) - radius, 0)
     x1 = np.minimum(np.arange(w) + radius + 1, w)
-    sums = (
-        integral[np.ix_(y1, x1)]
-        - integral[np.ix_(y0, x1)]
-        - integral[np.ix_(y1, x0)]
-        + integral[np.ix_(y0, x0)]
-    )
-    counts = (y1 - y0)[:, None] * (x1 - x0)[None, :]
-    return (2 * sums + counts) // (2 * counts)
+    running = np.zeros((h + 1, w), dtype=np.int64)
+    np.cumsum(pixels, axis=0, dtype=np.int64, out=running[1:])
+    columns = np.take(running, y1, axis=0)
+    columns -= np.take(running, y0, axis=0)
+    running = np.zeros((h, w + 1), dtype=np.int64)
+    np.cumsum(columns, axis=1, out=running[:, 1:])
+    del columns
+    sums = np.take(running, x1, axis=1)
+    sums -= np.take(running, x0, axis=1)
+    del running
+    counts = np.multiply.outer(y1 - y0, x1 - x0)
+    # (2*sums + counts) // (2*counts), in place
+    sums *= 2
+    sums += counts
+    counts *= 2
+    sums //= counts
+    return sums.astype(np.uint8)
+
+
+def _swap_sources(j: np.ndarray) -> np.ndarray:
+    """Source cell of every output cell after the swaps cells[i] <-> cells[j[i]]
+    run for i = n-1 .. 1, as int32.
+
+    `j` holds j[i] <= i for n < 2^31 cells; j[0] = 0 is a virtual step that
+    reads cell 0 last. Step i is the last to touch cell i, which then
+    receives what cell j[i] held just before step i: what the nearest higher
+    step that also targets j[i] brought there, or j[i]'s own value if no
+    such step exists. Step m brings what cell m held just before step m, by
+    the same rule, so every source is the root of a pointer chain, found by
+    pointer jumping (Hillis & Steele 1986).
+    """
+    n = len(j)
+    keys = j.astype(np.int64)
+    keys <<= 32
+    keys |= np.arange(n, dtype=np.int32)
+    keys.sort()  # steps grouped by the cell they target, ascending inside each group
+    steps = (keys & 0xFFFFFFFF).astype(np.int32)
+    keys >>= 32
+    targets = keys.astype(np.int32)
+    del keys
+    continues = targets[1:] == targets[:-1]  # the next step targets the same cell
+    # cell m's value before step m came from the first step that targets m,
+    # if there is one, else it is m's own. (If that first step is m itself,
+    # no step reads m's chain.) Every other step writes to a spare slot at
+    # n, so the scatter needs no mask.
+    slots = targets.copy()
+    slots[1:] += (n - targets[1:]) * continues
+    chain = np.arange(n + 1, dtype=np.int32)
+    chain[slots] = steps
+    chain = chain[:n]
+    del slots
+    jumped = np.empty_like(chain)
+    while True:
+        np.take(chain, chain, out=jumped)
+        if np.array_equal(jumped, chain):
+            break
+        chain, jumped = jumped, chain
+    # a step reads the root of the next step in its group; the last step of
+    # a group reads its target's own value (selected by arithmetic, which
+    # beats a masked copy on this unpredictable mask)
+    roots = jumped[:-1]
+    np.take(chain, steps[1:], out=roots)
+    roots -= targets[:-1]
+    roots *= continues
+    targets[:-1] += roots
+    sources = jumped
+    sources[steps] = targets
+    return sources
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[list[GrayImage], LabeledDataset]:
@@ -234,27 +300,28 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[list[GrayImage], LabeledDat
     The stream is consumed in a fixed order per pair k: height*width outputs
     whose top bytes are the noise field, row-major, then n-1 Fisher-Yates
     draws, the one for i = n-1 .. 1 reduced modulo i+1, that permute the
-    blurred result into the adulterated twin. Pairs alternate between
-    groups 1 and 2. Twin gray-level histograms are verified equal before
-    returning. Each entry carries its image and a `<id>.pgm` path; the
-    images are also returned in entry order.
+    blurred result into the adulterated twin. The swaps are applied at once
+    (`_swap_sources`). Pairs alternate between groups 1 and 2. Twin
+    gray-level histograms are verified equal before returning. Each entry
+    carries its image and a `<id>.pgm` path; the images are also returned in
+    entry order.
     """
     rng = SplitMix64(spec.seed)
     entries: list[DatasetEntry] = []
     n = spec.width * spec.height
+    swaps = np.zeros(n, dtype=np.int32)  # swaps[i]: the cell step i swaps with
     for k in range(spec.per_class):
         raw = (rng.next_block(n) >> np.uint64(56)).astype(np.uint8)
         normal_pixels = _box_blur(raw.reshape(spec.height, spec.width), spec.smoothing_radius)
 
-        shuffled = normal_pixels.ravel().copy()
-        cells = memoryview(shuffled)
         for top in range(n - 1, 0, -_SHUFFLE_BLOCK):
-            low = max(top - _SHUFFLE_BLOCK, 0)  # this block swaps i = top .. low+1
-            bounds = np.arange(top + 1, low + 1, -1, dtype=np.uint64)
-            js = (rng.next_block(top - low) % bounds).tolist()
-            for i, j in zip(range(top, low, -1), js):
-                cells[i], cells[j] = cells[j], cells[i]
-        adulterated_pixels = shuffled.reshape(spec.height, spec.width)
+            low = max(top - _SHUFFLE_BLOCK, 0)  # this block draws for i = top .. low+1
+            draws = rng.next_block(top - low)
+            draws %= np.arange(top + 1, low + 1, -1, dtype=np.uint64)
+            swaps[top:low:-1] = draws
+        adulterated_pixels = normal_pixels.ravel()[_swap_sources(swaps)].reshape(
+            spec.height, spec.width
+        )
 
         if not np.array_equal(
             np.bincount(normal_pixels.ravel(), minlength=256),

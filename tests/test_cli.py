@@ -449,6 +449,16 @@ class TestFailurePaths:
         assert "error: argument" in capsys.readouterr().err
         assert not (tmp_path / "unused").exists()
 
+    def test_oversized_synth_exits_processing_before_drawing(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        code = main(["synth", "--out", str(out), "--per-class", "100000000000000000000"])
+        assert code == EXIT_PROCESSING
+        assert capsys.readouterr().err == (
+            "texscreen: 2 * per_class * width * height must be below 2^31, "
+            "the pixels generated at once\n"
+        )
+        assert not out.exists()
+
     def test_non_utf8_manifest_exits_invalid_data(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.csv"
         manifest.write_bytes(b"id,path,label,group\na,\xe9t\xe9.pgm,normal,1\n")

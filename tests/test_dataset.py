@@ -13,6 +13,8 @@ from texscreen.dataset import (
     ManifestError,
     SplitMix64,
     SyntheticSpec,
+    _box_blur,
+    _swap_sources,
     filter_group,
     generate_synthetic,
     load_manifest,
@@ -129,9 +131,11 @@ class TestLoadManifest:
         assert load_manifest(text.encode("utf-8")) == manifest
 
     def test_non_utf8_bytes_name_line(self):
-        with pytest.raises(ManifestError, match="UTF-8") as err:
-            load_manifest(b"id,path,label,group\na,x.pgm,normal,1\nb,\xff.pgm,normal,1\n")
-        assert err.value.line == 3
+        lines = [b"id,path,label,group", b"a,x.pgm,normal,1", b"b,\xff.pgm,normal,1", b""]
+        for newline in (b"\n", b"\r", b"\r\n"):  # the breaks that end a line
+            with pytest.raises(ManifestError, match="UTF-8") as err:
+                load_manifest(newline.join(lines))
+            assert err.value.line == 3
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -247,6 +251,72 @@ def _digests(images, dataset):
     )
 
 
+def _fisher_yates_sources(j):
+    """Reference: run the swaps cells[i] <-> cells[j[i]] for i = n-1 .. 1 one
+    at a time on the cell indices."""
+    cells = list(range(len(j)))
+    for i in range(len(j) - 1, 0, -1):
+        cells[i], cells[j[i]] = cells[j[i]], cells[i]
+    return cells
+
+
+@st.composite
+def _swap_targets(draw):
+    n = draw(st.integers(1, 300))
+    return [0] + [draw(st.integers(0, i)) for i in range(1, n)]
+
+
+class TestSwapSources:
+    @settings(max_examples=200, deadline=None)
+    @given(_swap_targets())
+    def test_equals_one_swap_at_a_time(self, j):
+        sources = _swap_sources(np.array(j, dtype=np.int32))
+        assert sources.dtype == np.int32
+        assert sources.tolist() == _fisher_yates_sources(j)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 300, 1000])
+    @pytest.mark.parametrize(
+        "rule",
+        [lambda i: i, lambda i: 0, lambda i: max(i - 1, 0)],
+        ids=["itself", "zero", "previous"],
+    )
+    def test_extreme_targets(self, n, rule):
+        j = [rule(i) for i in range(n)]
+        assert _swap_sources(np.array(j, dtype=np.int32)).tolist() == _fisher_yates_sources(j)
+
+
+def _integral_box_blur(pixels, radius):
+    """Reference: the (2r+1)^2 window mean from a 2-D integral image."""
+    if radius == 0:
+        return pixels.copy()
+    h, w = pixels.shape
+    radius = min(radius, max(h, w))
+    integral = np.zeros((h + 1, w + 1), dtype=np.int64)
+    integral[1:, 1:] = pixels.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
+    y0 = np.maximum(np.arange(h) - radius, 0)
+    y1 = np.minimum(np.arange(h) + radius + 1, h)
+    x0 = np.maximum(np.arange(w) - radius, 0)
+    x1 = np.minimum(np.arange(w) + radius + 1, w)
+    sums = (
+        integral[np.ix_(y1, x1)]
+        - integral[np.ix_(y0, x1)]
+        - integral[np.ix_(y1, x0)]
+        + integral[np.ix_(y0, x0)]
+    )
+    counts = (y1 - y0)[:, None] * (x1 - x0)[None, :]
+    return (2 * sums + counts) // (2 * counts)
+
+
+class TestBoxBlur:
+    @pytest.mark.parametrize("shape", [(8, 8), (8, 1100), (1100, 8), (225, 300)])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 7, 2**64])
+    def test_equals_integral_image_blur(self, shape, radius):
+        pixels = np.random.default_rng(sum(shape)).integers(0, 256, shape, dtype=np.uint8)
+        blurred = _box_blur(pixels, radius)
+        assert blurred.dtype == np.uint8
+        assert np.array_equal(blurred, _integral_box_blur(pixels, radius))
+
+
 class TestGenerateSynthetic:
     def test_same_spec_same_bytes(self):
         images1, dataset1 = generate_synthetic(FROZEN_SPEC)
@@ -317,6 +387,21 @@ class TestGenerateSynthetic:
         b, _ = generate_synthetic(SyntheticSpec(seed=2, per_class=2, width=8, height=8))
         assert any(not np.array_equal(x.pixels, y.pixels) for x, y in zip(a, b))
 
+    def test_draws_n_noise_and_n_minus_1_shuffle_outputs_per_pair(self, monkeypatch):
+        rngs = []
+
+        class RecordingSplitMix64(SplitMix64):
+            def __init__(self, seed):
+                super().__init__(seed)
+                rngs.append(self)
+
+        monkeypatch.setattr("texscreen.dataset.SplitMix64", RecordingSplitMix64)
+        spec = SyntheticSpec(seed=2**64 - 5, per_class=3, width=11, height=9)
+        generate_synthetic(spec)
+        n = spec.width * spec.height
+        [rng] = rngs
+        assert rng.state == (spec.seed + spec.per_class * (2 * n - 1) * _GAMMA) & _MASK
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SyntheticSpec(seed=1, per_class=1, width=8, height=8)
@@ -326,6 +411,12 @@ class TestGenerateSynthetic:
             SyntheticSpec(seed=-1, per_class=2, width=8, height=8)
         with pytest.raises(ValueError):
             SyntheticSpec(seed=1, per_class=2, width=8, height=8, smoothing_radius=-1)
+        # every pixel is held at once: 2 * 4 * 2^15 * 2^13 = 2^31 is too many
+        SyntheticSpec(seed=1, per_class=3, width=2**15, height=2**13)
+        with pytest.raises(ValueError, match=r"below 2\^31"):
+            SyntheticSpec(seed=1, per_class=4, width=2**15, height=2**13)
+        with pytest.raises(ValueError, match=r"below 2\^31"):
+            SyntheticSpec(seed=1, per_class=10**20, width=8, height=8)
 
     def test_smoothing_radius_beyond_image_blurs_to_the_mean(self):
         spec = SyntheticSpec(seed=3, per_class=2, width=8, height=8, smoothing_radius=8)

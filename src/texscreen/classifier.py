@@ -2,29 +2,33 @@
 leave-one-out fold of a feature table at once.
 
 A fold maximizes the soft-margin dual over box-constrained variables
-alpha_j in [0, C] on every sample but the one it holds out. The folds of
-one table share the signed Gram matrix Q = (X X^T) o (y y^T) and keep
-their iterates as rows of a state matrix (alpha, 1). Samples are visited
-in fixed order with no shrinking or random permutation: step i sets each
-fold's alpha_i to clip((1 - sum_{j != i} Q_ij alpha_j) / Q_ii, 0, C)
-(Hsieh et al. 2008), the state's dot product with row i of a per-table
-step matrix (-Q_ij / Q_ii, 0 on the diagonal, then 1 / Q_ii), clipped to
-[0, C], or to [0, 0] for the fold holding out i. A zero feature row has
-Q_ii = 0 and step row (0, ..., 0, C): its row of Q is exactly 0, so its
-gradient is always -1 and alpha_i = C is its optimum. The features are
-L1-normalised histograms, whose smallest non-zero entry squared cannot
-underflow, so Q_ii = 0 only on a zero row. After each pass G = alpha Q is
-formed: G[f, j] = y_j (w_f . x_j) is sample j's signed margin under fold f,
-and a fold stops once its projected-gradient violation is within
-tolerance, or at the pass cap. Dot products and G are taken one fold at a
-time, never as a 2-D matrix product, whose rounding depends on the batch: a
-fold is bit-identical alone or among others.
+alpha_j in [0, u_fj]: its bound u_fj is C, or 0 for the sample it holds
+out, and this bound matrix is the only record of what a fold holds out.
+The folds of one table share the signed Gram matrix Q = (X X^T) o (y y^T)
+and keep their iterates as rows of a state matrix (alpha, 1). Samples are
+visited in fixed order with no shrinking or random permutation: step i
+sets each fold's alpha_i to clip((1 - sum_{j != i} Q_ij alpha_j) / Q_ii,
+0, u_fi) (Hsieh et al. 2008), the state's dot product with row i of a
+per-table step matrix (-Q_ij / Q_ii, 0 on the diagonal, then 1 / Q_ii),
+clipped to the fold's box. A zero feature row has Q_ii = 0 and step row
+(0, ..., 0, C): its row of Q is exactly 0, so its gradient is always -1
+and alpha_i = C is its optimum. The features are L1-normalised
+histograms, whose smallest non-zero entry squared cannot underflow, so
+Q_ii = 0 only on a zero row. After each pass G = alpha Q is formed:
+G[f, j] = y_j (w_f . x_j) is sample j's signed margin under fold f. With
+g = G - 1, a fold stops at the pass cap or once its largest projected
+gradient is within tolerance (Fan et al. 2008): g_j where alpha_j may
+fall (is above 0), -g_j where it may rise (is below its bound). A
+held-out variable, bound 0, can do neither and never counts. Dot products
+and G are taken one fold at a time, never as a 2-D matrix product, whose
+rounding depends on the batch: a fold is bit-identical alone or among
+others.
 
 The bias of a fold is recovered from its training margins w.x_j: the mean
-of y_j - w.x_j over free support vectors (0 < alpha_j < C), or the midpoint
-of the interval the bound samples leave feasible when no free support
-vector exists. The held-out decision w_f.x_f + b_f is y_f G[f, f] + b_f, so
-no weight vector is formed.
+of y_j - w.x_j over free support vectors, which may both fall and rise,
+or, when none exists, the midpoint of the interval that the variables
+which may only rise or only fall leave feasible. The held-out decision
+w_f.x_f + b_f is y_f G[f, f] + b_f, so no weight vector is formed.
 """
 
 from __future__ import annotations
@@ -67,17 +71,15 @@ class FoldSolutions:
         return self.margins[np.arange(self.held_out.size), self.held_out] + self.bias
 
 
-def projected_gradient(gradient: np.ndarray, alpha: np.ndarray, c: float) -> np.ndarray:
-    """Per-variable optimality violation of the box-constrained dual.
+def projected_gradient(gradient: np.ndarray, alpha: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Each fold's largest optimality violation of its box-constrained dual.
 
     `gradient` is y_j (w.x_j) - 1, the dual objective's gradient in the
-    -alpha_j direction; at the box bounds only the infeasible sign counts.
+    -alpha_j direction, and `upper` each fold's bounds. A variable above 0
+    may fall and one below its bound may rise; a held-out variable, bound
+    0, can do neither.
     """
-    return np.where(
-        alpha <= 0.0,
-        np.minimum(gradient, 0.0),
-        np.where(alpha >= c, np.maximum(gradient, 0.0), gradient),
-    )
+    return np.maximum(gradient * (alpha > 0.0), -gradient * (alpha < upper)).max(axis=1)
 
 
 def solve_folds(
@@ -112,11 +114,11 @@ def solve_folds(
     passes = np.zeros(held_out.size, dtype=np.int64)
     converged = np.zeros(held_out.size, dtype=bool)
 
-    # the folds still iterating, with their training masks, their upper
-    # bounds on each alpha_i (0 where the fold holds i out) and their state
+    # each fold's bound on each alpha_i: C, or 0 for the sample it holds out
+    bounds = np.where(held_out[:, None] != np.arange(n), c, 0.0)
+    # the folds still iterating, with their bounds transposed and their state
     active = np.arange(held_out.size)
-    training = held_out[:, None] != np.arange(n)
-    upper = np.where(training, c, 0.0).T.copy()
+    upper = bounds.T.copy()
     state = np.zeros((held_out.size, n + 1))  # (alpha, 1)
     state[:, n] = 1.0
     done_passes = 0
@@ -130,10 +132,7 @@ def solve_folds(
         done_passes += 1
         # G = alpha Q one fold at a time, so a fold rounds alike in any batch
         grad = np.matmul(alpha[:, None, :], q)[:, 0, :]
-        violation = np.where(
-            training, np.abs(projected_gradient(grad - 1.0, alpha, c)), 0.0
-        ).max(axis=1)
-        met = violation <= cfg.tolerance
+        met = projected_gradient(grad - 1.0, alpha, upper.T) <= cfg.tolerance
         done = met | (done_passes >= cfg.max_outer_iterations)
         if done.any():
             rows = active[done]
@@ -143,27 +142,26 @@ def solve_folds(
             converged[rows] = met[done]
             left = ~done
             active, state = active[left], state[left]
-            training, upper = training[left], upper[:, left]
+            upper = upper[:, left]
     margins = final_grad * y
-    bias = _bias_from_margins(held_out, y, final_alpha, margins, c)
+    bias = _bias_from_margins(y, final_alpha, margins, bounds)
     return FoldSolutions(held_out, final_alpha, margins, bias, passes, converged)
 
 
 def _bias_from_margins(
-    held_out: np.ndarray, labels: np.ndarray, alpha: np.ndarray, margins: np.ndarray, c: float
+    labels: np.ndarray, alpha: np.ndarray, margins: np.ndarray, bounds: np.ndarray
 ) -> np.ndarray:
-    training = held_out[:, None] != np.arange(labels.size)
     slack = labels - margins
-    free = training & (alpha > 0.0) & (alpha < c)
+    falls = alpha > 0.0
+    rises = alpha < bounds
+    free = falls & rises
     free_count = free.sum(axis=1)
     free_mean = np.where(free, slack, 0.0).sum(axis=1) / np.maximum(free_count, 1)
     # with every alpha at a bound, take the midpoint of the bias interval the
     # margin inequalities allow; a non-empty training set bounds one side
-    at_zero = training & (alpha <= 0.0)
-    at_c = training & (alpha >= c)
     pos = labels > 0
-    lower = np.where(at_zero & pos | at_c & ~pos, slack, -np.inf).max(axis=1)
-    upper = np.where(at_zero & ~pos | at_c & pos, slack, np.inf).min(axis=1)
+    lower = np.where(rises & pos | falls & ~pos, slack, -np.inf).max(axis=1)
+    upper = np.where(rises & ~pos | falls & pos, slack, np.inf).min(axis=1)
     lower = np.where(np.isinf(lower), upper, lower)
     upper = np.where(np.isinf(upper), lower, upper)
     return np.where(free_count > 0, free_mean, (lower + upper) / 2.0)

@@ -55,9 +55,6 @@ class Resolution:
         if self.width < 1 or self.height < 1:
             raise ValueError("resolution dimensions must be positive")
 
-    def __str__(self) -> str:
-        return f"{self.width}x{self.height}"
-
 
 def _skip_filler(data: bytes, pos: int) -> int:
     # whitespace and '#' comments may separate header tokens

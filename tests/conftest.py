@@ -100,17 +100,31 @@ class DualSolution:
     max_violation: float
 
 
-def projected_gradient(features, labels, alpha, weights, c):
-    """Per-sample optimality violation of the box-constrained dual.
-
-    The gradient of the dual objective in -alpha_i direction is
-    g_i = y_i * (w.x_i) - 1; at the box bounds only the infeasible sign
-    counts.
-    """
-    g = labels * (features @ weights) - 1.0
+def _bounded_gradient(g, alpha, c):
+    """The gradient g_i = y_i * (w.x_i) - 1 of the dual objective in the
+    -alpha_i direction, where at the box bounds 0 and c only the infeasible
+    sign counts."""
     return np.where(
         alpha <= 0.0, np.minimum(g, 0.0), np.where(alpha >= c, np.maximum(g, 0.0), g)
     )
+
+
+def projected_gradient(features, labels, alpha, weights, c):
+    """Per-sample optimality violation of the box-constrained dual."""
+    return _bounded_gradient(labels * (features @ weights) - 1.0, alpha, c)
+
+
+def gradient_violations(gradient, alpha, held_out, c):
+    """Each fold's largest |projected gradient| over the samples it trains
+    on: row f of the (folds, n) arrays holds out sample `held_out[f]`."""
+    training = np.asarray(held_out)[:, None] != np.arange(gradient.shape[1])
+    return np.where(training, np.abs(_bounded_gradient(gradient, alpha, c)), 0.0).max(axis=1)
+
+
+def fold_violations(labels, solution, c):
+    """Each fold's largest violation at termination, from its margins."""
+    gradient = np.asarray(labels) * solution.margins - 1.0
+    return gradient_violations(gradient, solution.alpha, solution.held_out, c)
 
 
 def solve_dual(features, labels, cfg):

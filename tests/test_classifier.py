@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import texscreen.classifier
 from conftest import (
     best_linear_accuracy_2d,
+    fold_violations,
+    gradient_violations,
     loocv_reference,
     max_margin_separator_2d,
     random_separable_set,
@@ -36,13 +39,6 @@ def _loo(x, y, cfg=None):
 def _weights(x, y, sol):
     """(folds, d): w_f = sum_j alpha_fj y_j x_j."""
     return (sol.alpha * y) @ x
-
-
-def _violations(y, sol, c):
-    """Each fold's largest projected-gradient violation over its training samples."""
-    pg = np.abs(projected_gradient(y * sol.margins - 1.0, sol.alpha, c))
-    training = sol.held_out[:, None] != np.arange(len(y))
-    return np.where(training, pg, 0.0).max(axis=1)
 
 
 def _random_problem(rng, n, d):
@@ -97,7 +93,7 @@ class TestSolver:
             sol = _loo(x, y, cfg)
             assert (sol.alpha >= 0.0).all() and (sol.alpha <= cfg.c).all()
             assert sol.converged.any()
-            assert (_violations(y, sol, cfg.c)[sol.converged] <= cfg.tolerance).all()
+            assert (fold_violations(y, sol, cfg.c)[sol.converged] <= cfg.tolerance).all()
 
     def test_objective_nondecreasing_across_passes(self):
         rng = np.random.default_rng(73)
@@ -182,7 +178,50 @@ class TestSolver:
             sol = solve_folds(x, y, held_out)
             assert ((sol.alpha >= 0.0) & (sol.alpha <= 1.0)).all()
             assert np.isfinite(sol.margins).all() and np.isfinite(sol.bias).all()
-            assert (_violations(y, sol, 1.0)[sol.converged] <= 1e-6).all()
+            assert (fold_violations(y, sol, 1.0)[sol.converged] <= 1e-6).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_stop_value_matches_masked_reference(self, data):
+        # the bound rule against the training-mask rule on arbitrary states:
+        # alpha at 0, at C or inside, held-out columns with any gradient
+        folds = data.draw(st.integers(1, 6), label="folds")
+        n = data.draw(st.integers(1, 8), label="n")
+        c = data.draw(st.sampled_from([0.1, 1.0, 10.0, 2.0**-30]), label="c")
+        held_out = np.array(
+            data.draw(st.lists(st.integers(0, n), min_size=folds, max_size=folds), label="held_out")
+        )
+        edges = st.sampled_from([0.0, -0.0, 1e-6, -1e-6, 1.0, -1.0])
+        gradient = data.draw(
+            hnp.arrays(np.float64, (folds, n), elements=edges | st.floats(-1e3, 1e3)),
+            label="gradient",
+        )
+        where = data.draw(hnp.arrays(np.int8, (folds, n), elements=st.integers(0, 2)), label="at")
+        inside = c * data.draw(
+            hnp.arrays(np.float64, (folds, n), elements=st.floats(0.001, 0.999)), label="inside"
+        )
+        bounds = np.where(held_out[:, None] != np.arange(n), c, 0.0)
+        alpha = np.minimum(np.choose(where, [0.0, c, inside]), bounds)
+        got = projected_gradient(gradient, alpha, bounds)
+        assert (got == gradient_violations(gradient, alpha, held_out, c)).all()
+
+    def test_stop_value_taken_once_per_pass(self, monkeypatch):
+        # the benchmark marks every pass at this module-level call
+        calls = []
+        stop_value = texscreen.classifier.projected_gradient
+
+        def counted(*args):
+            calls.append(args)
+            return stop_value(*args)
+
+        monkeypatch.setattr(texscreen.classifier, "projected_gradient", counted)
+        rng = np.random.default_rng(107)
+        for cfg in (SolverConfig(), SolverConfig(c=10.0), SolverConfig(max_outer_iterations=2)):
+            x, y = _random_problem(rng, 12, 4)
+            for held_out in (np.arange(12), np.array([12])):
+                calls.clear()
+                sol = solve_folds(x, y, held_out, cfg)
+                assert len(calls) == sol.passes.max()
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -199,7 +238,7 @@ class TestSolver:
         assert (sol.alpha[~training] == 0.0).all()
         # a zero row's gradient is always -1: every fold training on it holds alpha = C
         assert (sol.alpha[training & ~x.any(axis=1)] == cfg.c).all()
-        assert (_violations(y, sol, cfg.c)[sol.converged] <= cfg.tolerance).all()
+        assert (fold_violations(y, sol, cfg.c)[sol.converged] <= cfg.tolerance).all()
         assert ((sol.passes >= 1) & (sol.passes <= cfg.max_outer_iterations)).all()
         assert sol.converged[sol.passes < cfg.max_outer_iterations].all()
 

@@ -207,6 +207,28 @@ class TestFeatureTable:
         tables = feature_tables([], self.KINDS, Resolution(8, 8))
         assert [tables[kind].shape for kind in self.KINDS] == [(0, 256), (0, 256), (0, 512)]
 
+    def test_increasing_gray_map_leaves_lbp_run_unchanged(self, synthetic_benchmark):
+        # at native size resizing is the identity, and LBP codes see only the
+        # order of gray levels: a random order-preserving remap of the levels
+        # every image uses changes no LBP table entry and no report byte
+        dataset = synthetic_benchmark
+        native = Resolution(64, 48)
+        levels = np.unique([e.image.pixels for e in dataset.entries])
+        remap = np.zeros(256, dtype=np.uint8)
+        remap[levels] = np.sort(np.random.default_rng(131).choice(256, levels.size, replace=False))
+        assert not np.array_equal(remap[levels], levels)
+        mapped = LabeledDataset(
+            tuple(replace(e, image=GrayImage(remap[e.image.pixels])) for e in dataset.entries)
+        )
+        kinds = (FeatureKind.LBP,)
+        for cmp in Comparator:
+            before = feature_tables([e.image for e in dataset.entries], kinds, native, cmp)
+            after = feature_tables([e.image for e in mapped.entries], kinds, native, cmp)
+            assert before[FeatureKind.LBP].tobytes() == after[FeatureKind.LBP].tobytes()
+        assert report_to_json(loocv(mapped, FeatureKind.LBP, native)) == report_to_json(
+            loocv(dataset, FeatureKind.LBP, native)
+        )
+
     def test_sweep_row_matches_per_kind_loocv(self, synthetic_benchmark):
         dataset = synthetic_benchmark
         target = Resolution(50, 37)

@@ -95,6 +95,40 @@ class TestLbpTransform:
             got = lbp_transform(GrayImage(pixels), cmp)
             assert got.tolist() == lbp_reference(pixels.tolist(), strict=strict)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.uint8,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=3, max_side=24),
+            elements=st.integers(0, 3),
+        )
+    )
+    def test_quarter_turn_rotates_codes_two_bits(self, pixels):
+        # turning the image a quarter counterclockwise moves each neighbor
+        # two places round the ring: E becomes N, so code bit k becomes k + 2
+        for cmp in Comparator:
+            codes = lbp_transform(GrayImage(pixels), cmp)
+            turned = lbp_transform(GrayImage(np.rot90(pixels)), cmp)
+            assert np.array_equal(turned, np.rot90((codes << 2) | (codes >> 6)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.uint8,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=3, max_side=24),
+            elements=st.integers(0, 3),
+        ),
+        st.lists(st.integers(0, 255), min_size=4, max_size=4, unique=True),
+    )
+    def test_strictly_increasing_gray_map_invariance(self, pixels, levels):
+        # codes compare neighbors with centers only, so any order-preserving
+        # remap of the gray levels, not just a shift, leaves them unchanged
+        mapped = np.array(sorted(levels), dtype=np.uint8)[pixels]
+        for cmp in Comparator:
+            assert np.array_equal(
+                lbp_transform(GrayImage(mapped), cmp), lbp_transform(GrayImage(pixels), cmp)
+            )
+
 
 def _counts(fv, cells):
     """The bin counts an L1-normalized histogram of `cells` values stands for."""

@@ -353,4 +353,3 @@ class TestTypes:
     def test_resolution_must_be_positive(self):
         with pytest.raises(ValueError):
             Resolution(0, 5)
-        assert str(Resolution(300, 225)) == "300x225"

@@ -67,7 +67,10 @@ class FoldSolutions:
 
     @property
     def decisions(self) -> np.ndarray:
-        """w_f . x_f + b_f for each fold's held-out sample."""
+        """w_f . x_f + b_f for each fold's held-out sample; a ValueError if
+        some fold holds none out."""
+        if (self.held_out == self.margins.shape[1]).any():
+            raise ValueError("a fold that holds out no sample has no held-out decision")
         return self.margins[np.arange(self.held_out.size), self.held_out] + self.bias
 
 
@@ -86,7 +89,7 @@ def solve_folds(
     features: np.ndarray,
     labels: np.ndarray,
     held_out: np.ndarray,
-    cfg: SolverConfig | None = None,
+    cfg: SolverConfig = SolverConfig(),
 ) -> FoldSolutions:
     """Run fixed-order coordinate descent on every fold's dual at once.
 
@@ -94,7 +97,6 @@ def solve_folds(
     `held_out[f]`; an index of n holds nothing out. A fold's result does
     not depend on which other folds share the call.
     """
-    cfg = cfg if cfg is not None else SolverConfig()
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     n = x.shape[0]

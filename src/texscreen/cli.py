@@ -60,9 +60,6 @@ exit codes:
   5  processing failure (e.g. a fold with single-class training data, out of memory)
 """
 
-_COMPARATORS = {"gt": Comparator.STRICT_GREATER, "ge": Comparator.GREATER_EQUAL}
-
-
 def _positive_float(text: str) -> float:
     try:
         value = float(text)
@@ -130,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     manifest_flags.add_argument(
         "--comparator",
-        choices=sorted(_COMPARATORS),
+        choices=sorted(c.value for c in Comparator),
         default="gt",
         help="neighbor-vs-center tie rule: gt (strict) or ge",
     )
@@ -161,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     output_flags.add_argument(
         "--decimal-comma",
         action="store_true",
-        help="render percents with a decimal comma (96,6%%)",
+        help="render percents with a decimal comma (96,6%%); no effect on sweep "
+        "--format table, which prints fractions",
     )
 
     p_extract = sub.add_parser(
@@ -243,7 +241,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         [e.image for e in dataset.entries],
         (kind,),
         Resolution(args.width, args.height),
-        _COMPARATORS[args.comparator],
+        Comparator(args.comparator),
     )[kind]
     _write_text(args.out, "".join(format_feature(kind, row) + "\n" for row in table))
     return EXIT_OK
@@ -270,7 +268,7 @@ def _cmd_loocv(args: argparse.Namespace) -> int:
         dataset,
         FeatureKind(args.kind),
         Resolution(args.width, args.height),
-        _COMPARATORS[args.comparator],
+        Comparator(args.comparator),
         _solver_config(args),
     )
     if args.format == "json":
@@ -286,7 +284,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.manifest, args.group)
     resolutions = args.resolutions if args.resolutions else DEFAULT_SWEEP_RESOLUTIONS
     sweep = resolution_sweep(
-        dataset, resolutions, _COMPARATORS[args.comparator], _solver_config(args)
+        dataset, resolutions, Comparator(args.comparator), _solver_config(args)
     )
     if args.format == "json":
         text = sweep_to_json(sweep, args.decimal_comma)

@@ -157,7 +157,7 @@ def _loocv_reports(
     resolutions: Sequence[Resolution],
     kinds: Sequence[FeatureKind],
     cmp: Comparator,
-    cfg: SolverConfig | None,
+    cfg: SolverConfig = SolverConfig(),
 ) -> dict[Resolution, dict[FeatureKind, EvalReport]]:
     """Each resolution's leave-one-out reports of each kind, in request order.
 
@@ -205,7 +205,7 @@ def loocv(
     kind: FeatureKind,
     target: Resolution = DEFAULT_RESOLUTION,
     cmp: Comparator = Comparator.STRICT_GREATER,
-    cfg: SolverConfig | None = None,
+    cfg: SolverConfig = SolverConfig(),
 ) -> EvalReport:
     """Leave-one-out cross-validation at one resolution and feature kind."""
     kind = FeatureKind(kind)
@@ -216,7 +216,7 @@ def resolution_sweep(
     data: LabeledDataset,
     resolutions: Sequence[Resolution] = DEFAULT_SWEEP_RESOLUTIONS,
     cmp: Comparator = Comparator.STRICT_GREATER,
-    cfg: SolverConfig | None = None,
+    cfg: SolverConfig = SolverConfig(),
 ) -> dict[Resolution, dict[FeatureKind, EvalReport]]:
     """Each resolution's leave-one-out reports of all three feature kinds,
     keyed in request order.

@@ -1,18 +1,25 @@
 """Raster primitives: portable graymap/pixmap IO and resizing.
 
 Only uncompressed netpbm formats with maxval 255 are handled (P2/P5 graymaps,
-P3/P6 pixmaps), which keeps image IO bit-exact and dependency-free. Pixmaps
-become gray as they are decoded, so `GrayImage` is the only raster. Every
-place a real number becomes a pixel value uses round-half-up.
+P3/P6 pixmaps), which keeps image IO bit-exact and dependency-free. Header
+fields and ASCII pixel values are tokens: maximal runs of bytes other than
+whitespace (space, TAB, LF, VT, FF, CR) and '#'. Before each token any mix
+of whitespace and comments, from '#' up to the next CR or LF, is skipped.
+A binary payload follows the header after exactly one whitespace byte.
+Pixmaps become gray as they are decoded, so `GrayImage` is the only raster.
+Every place a real number becomes a pixel value uses round-half-up.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+# the token grammar above; for bytes, `\s` is exactly b" \t\n\r\x0b\x0c",
+# and group 1, the token, is empty only at the end of the data
+_TOKEN = re.compile(rb"\s*(?:#[^\r\n]*\s*)*([^\s#]*)")
 # float64 values per row block of the resize passes: 64 KiB
 _ROW_BLOCK = 8192
 
@@ -56,28 +63,11 @@ class Resolution:
             raise ValueError("resolution dimensions must be positive")
 
 
-def _skip_filler(data: bytes, pos: int) -> int:
-    # whitespace and '#' comments may separate header tokens
-    while pos < len(data):
-        b = data[pos]
-        if b in _WHITESPACE:
-            pos += 1
-        elif b == 0x23:  # '#'
-            while pos < len(data) and data[pos] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    return pos
-
-
 def _read_token(data: bytes, pos: int, what: str) -> tuple[bytes, int, int]:
-    pos = _skip_filler(data, pos)
-    if pos >= len(data):
-        raise PnmDecodeError(f"unexpected end of data while reading {what}", pos)
-    start = pos
-    while pos < len(data) and data[pos] not in _WHITESPACE and data[pos] != 0x23:
-        pos += 1
-    return data[start:pos], start, pos
+    m = _TOKEN.match(data, pos)
+    if not m.group(1):
+        raise PnmDecodeError(f"unexpected end of data while reading {what}", m.start(1))
+    return m.group(1), m.start(1), m.end()
 
 
 def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
@@ -131,7 +121,7 @@ def decode_image(data: bytes) -> GrayImage:
             values[k] = v
     else:
         # exactly one whitespace byte separates the header from the payload
-        if pos >= len(data) or data[pos] not in _WHITESPACE:
+        if not data[pos : pos + 1].isspace():
             raise PnmDecodeError("expected whitespace before binary payload", pos)
         pos += 1
         if len(data) - pos < count:

@@ -1,9 +1,10 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles deliberately avoid the library's code paths: the LBP reference
-walks pixels one by one in pure Python, the separator searches enumerate
-candidate geometries exhaustively, and the LOOCV reference trains one fold
-at a time with the per-fold dual solver the batched one replaced.
+walks pixels one by one in pure Python, the PNM token reference walks bytes
+one by one, the separator searches enumerate candidate geometries
+exhaustively, and the LOOCV reference trains one fold at a time with the
+per-fold dual solver the batched one replaced.
 `train_on_all` and `report_from_confusion` are no oracles: they call the
 library.
 """
@@ -18,10 +19,11 @@ import numpy as np
 import pytest
 
 import texscreen
-from texscreen.classifier import solve_folds
+from texscreen.classifier import SolverConfig, solve_folds
 from texscreen.dataset import DatasetEntry, LabeledDataset, SyntheticSpec, generate_synthetic
 from texscreen.evaluation import _report
 from texscreen.features import FeatureKind
+from texscreen.imagecore import PnmDecodeError
 
 # seed frozen after verifying the LBP-vs-GRAY separation it must achieve
 FROZEN_SEED = 1
@@ -44,7 +46,7 @@ def synthetic_benchmark():
     return dataset
 
 
-def train_on_all(features, labels, cfg=None):
+def train_on_all(features, labels, cfg=SolverConfig()):
     """(weights, bias) of the C-SVC that `solve_folds` trains on every sample."""
     x, y = np.asarray(features, dtype=float), np.asarray(labels)
     sol = solve_folds(x, y, [len(y)], cfg)
@@ -63,6 +65,35 @@ def report_from_confusion(nn, na, an, aa):
     return _report(
         LabeledDataset(entries), labels, FeatureKind.LBP, np.array(decisions), converged
     )
+
+
+PNM_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+def pnm_skip_filler(data, pos):
+    """The position of the first byte at or after `pos` that is neither
+    whitespace nor inside a '#' comment, which runs up to CR or LF."""
+    while pos < len(data):
+        b = data[pos]
+        if b in PNM_WHITESPACE:
+            pos += 1
+        elif b == 0x23:  # '#'
+            while pos < len(data) and data[pos] not in b"\r\n":
+                pos += 1
+        else:
+            break
+    return pos
+
+
+def pnm_read_token(data, pos, what):
+    """(token, start, end) of the next PNM token, scanned a byte at a time."""
+    pos = pnm_skip_filler(data, pos)
+    if pos >= len(data):
+        raise PnmDecodeError(f"unexpected end of data while reading {what}", pos)
+    start = pos
+    while pos < len(data) and data[pos] not in PNM_WHITESPACE and data[pos] != 0x23:
+        pos += 1
+    return data[start:pos], start, pos
 
 
 def lbp_reference(pixels, strict=True):

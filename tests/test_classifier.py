@@ -31,7 +31,7 @@ def _decisions(model, points):
     return np.asarray(points, dtype=float) @ weights + bias
 
 
-def _loo(x, y, cfg=None):
+def _loo(x, y, cfg=SolverConfig()):
     """Every leave-one-out fold of (x, y), solved together."""
     return solve_folds(x, y, np.arange(len(y)), cfg)
 
@@ -333,6 +333,18 @@ class TestPredictAndSerialize:
             assert np.array_equal(fold.alpha[0], base.alpha[k])
             assert fold.bias[0] == base.bias[k]
             assert fold.decisions[0] - fold.bias[0] == 2.0 * (base.decisions[k] - base.bias[k])
+
+    def test_fold_holding_nothing_out_has_no_decision(self):
+        # held-out index n is a full fit: its alpha and bias exist, its
+        # held-out decision does not
+        x, y = XOR_POINTS, XOR_LABELS
+        sol = solve_folds(x, y, np.array([4]))
+        assert sol.bias.shape == (1,)
+        message = "^a fold that holds out no sample has no held-out decision$"
+        with pytest.raises(ValueError, match=message):
+            sol.decisions
+        with pytest.raises(ValueError, match="holds out no sample"):
+            solve_folds(x, y, np.array([0, 4])).decisions
 
     def test_sign_rule_and_tie(self):
         assert _predicted_label(3.2) == 1

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import PNM_WHITESPACE, pnm_read_token
 from texscreen.imagecore import (
     GrayImage,
     PnmDecodeError,
     Resolution,
+    _read_token,
     decode_image,
     encode_pgm,
     resize_bilinear,
@@ -151,6 +153,61 @@ class TestDecode:
             decode_image(data)
         except PnmDecodeError:
             pass
+
+
+# whitespace, comment bytes, digits and bytes that are none of these,
+# including the non-ASCII spaces NEL and NBSP, which PNM does not skip
+_PNM_ALPHABET = [bytes([b]) for b in PNM_WHITESPACE + b"#\r\n0129Px\x00\x85\xa0\xff"]
+
+
+def _token_or_error(read, data, pos):
+    try:
+        return read(data, pos, "width")
+    except PnmDecodeError as exc:
+        return str(exc), exc.offset
+
+
+class TestLexer:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(_PNM_ALPHABET), max_size=40).map(b"".join), st.data())
+    def test_matches_byte_scanner(self, data, draw):
+        pos = draw.draw(st.integers(0, len(data)))
+        assert _token_or_error(_read_token, data, pos) == _token_or_error(
+            pnm_read_token, data, pos
+        )
+
+    def test_comment_inside_ascii_payload(self):
+        img = decode_image(b"P2 3 1 255\n7 # mid-payload 8\n9\n#\n10")
+        assert img.pixels.ravel().tolist() == [7, 9, 10]
+
+    def test_comment_ended_by_cr(self):
+        img = decode_image(b"P5 # c\r2\r# d\r1 255\n\x01\x02")
+        assert img.pixels.ravel().tolist() == [1, 2]
+
+    @pytest.mark.parametrize(
+        "data,what", [(b"P5 2 1 # to the end", "maxval"), (b"P2 1 1 255\n#\n# x", "pixel value")]
+    )
+    def test_comment_running_to_end_of_data(self, data, what):
+        with pytest.raises(PnmDecodeError, match=f"end of data while reading {what}") as err:
+            decode_image(data)
+        assert err.value.offset == len(data)
+
+    def test_token_followed_directly_by_comment(self):
+        img = decode_image(b"P2#a\n2#b\n1#c\n255#d\n5#e\n6#f")
+        assert img.pixels.ravel().tolist() == [5, 6]
+
+    @pytest.mark.parametrize("sep", [b"\x0b", b"\x0c"])
+    def test_vertical_tab_and_form_feed_separate(self, sep):
+        header = sep.join([b"P5", b"2", b"1", b"255"])
+        assert decode_image(header + sep + b"\x01\x02").pixels.ravel().tolist() == [1, 2]
+        ascii_image = sep.join([b"P2", b"2", b"1", b"255", b"3", b"4"])
+        assert decode_image(ascii_image).pixels.ravel().tolist() == [3, 4]
+
+    @pytest.mark.parametrize("sep", [b"\x85", b"\xa0"])
+    def test_non_ascii_space_is_no_separator(self, sep):
+        with pytest.raises(PnmDecodeError, match="malformed width token") as err:
+            decode_image(b"P5 2" + sep + b"1 255\n\x01\x02")
+        assert err.value.offset == 3
 
 
 class TestEncode:

@@ -47,26 +47,31 @@ _NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -
 def lbp_transform(img: GrayImage, cmp: Comparator = Comparator.STRICT_GREATER) -> np.ndarray:
     """Compute the LBP code of every interior pixel.
 
-    Requires at least a 3x3 image; the result is an (H-2, W-2) uint8
-    array. Codes depend only on the sign of neighbor-minus-center
+    Requires at least a 3x3 image; the result is a C-contiguous (H-2, W-2)
+    uint8 array. Codes depend only on the sign of neighbor-minus-center
     differences, so adding a constant to every pixel leaves the result
-    unchanged. Codes are accumulated most significant bit first, from one
-    reusable comparison buffer.
+    unchanged. Codes are accumulated most significant bit first over the
+    flat pixel run from (1, 1) to (H-2, W-2), where neighbor (dy, dx) is
+    dy*W + dx on; codes whose neighbors wrap across rows are cut away.
     """
     p = img.pixels
     h, w = p.shape
     if h < 3 or w < 3:
         raise ValueError("LBP needs an image of at least 3x3 pixels")
-    center = p[1 : h - 1, 1 : w - 1]
-    codes = np.zeros((h - 2, w - 2), dtype=np.uint8)
-    hits = np.empty((h - 2, w - 2), dtype=bool)
+    flat = p.ravel()
+    start, n = w + 1, (h - 2) * w - 2
+    center = flat[start : start + n]
+    codes = np.zeros((h - 2) * w, dtype=np.uint8)
+    run = codes[:n]
+    hits = np.empty(n, dtype=bool)
     compare = np.greater if cmp is Comparator.STRICT_GREATER else np.greater_equal
     # doubling shifts the bits set so far up by one before the next lands in bit 0
     for dy, dx in _NEIGHBORS:
-        compare(p[1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx], center, out=hits)
-        codes += codes
-        codes |= hits.view(np.uint8)
-    return codes
+        at = start + dy * w + dx
+        compare(flat[at : at + n], center, out=hits)
+        run += run
+        run |= hits.view(np.uint8)
+    return codes.reshape(h - 2, w)[:, : w - 2].copy()
 
 
 def _histogram(values: np.ndarray) -> np.ndarray:

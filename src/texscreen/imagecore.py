@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,14 +54,16 @@ class GrayImage:
 
 @dataclass(frozen=True)
 class Resolution:
-    """Target size for resizing, in pixels."""
+    """Target size for resizing, in pixels; numpy integers become `int`."""
 
     width: int
     height: int
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("resolution dimensions must be positive")
+        for name, value in (("width", self.width), ("height", self.height)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"resolution {name} must be a positive integer, not {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 def _read_token(data: bytes, pos: int, what: str) -> tuple[bytes, int, int]:
@@ -161,6 +164,24 @@ def _luma(p: np.ndarray) -> np.ndarray:
     return luma
 
 
+@lru_cache(maxsize=32)  # resampling plans kept, one per (source size, target)
+def _resize_plan(h_src: int, w_src: int, target: Resolution) -> tuple:
+    """Read-only (x0, x1, 1 - fx, fx, y0, y1, 1 - fy, fy) and the block step of a
+    resize from h_src x w_src to `target`; the y weights are columns."""
+    sx = np.clip((np.arange(target.width) + 0.5) * w_src / target.width - 0.5, 0.0, w_src - 1.0)
+    sy = np.clip((np.arange(target.height) + 0.5) * h_src / target.height - 0.5, 0.0, h_src - 1.0)
+    x0 = np.floor(sx).astype(np.intp)
+    y0 = np.floor(sy).astype(np.intp)
+    fx = sx - x0
+    fy = (sy - y0)[:, None]
+    x1 = np.minimum(x0 + 1, w_src - 1)
+    y1 = np.minimum(y0 + 1, h_src - 1)
+    plan = (x0, x1, 1.0 - fx, fx, y0, y1, 1.0 - fy, fy)
+    for a in plan:
+        a.flags.writeable = False
+    return plan + (max(1, _ROW_BLOCK // target.width),)
+
+
 def resize_bilinear(img: GrayImage, target: Resolution) -> GrayImage:
     """Resize with bilinear interpolation under pixel-center alignment.
 
@@ -171,7 +192,8 @@ def resize_bilinear(img: GrayImage, target: Resolution) -> GrayImage:
     [0, 1] that sum to 1, so it lies in [0, 255 + a few ulps]; plus 0.5 it
     is in [0.5, 256), where the `uint8` store's truncation is the floor and
     no clamp is needed. Resizing to the source resolution returns `img`,
-    the identity. Both passes run in blocks of rows small enough that their
+    the identity. Images of one size share one cached resampling plan per
+    target. Both passes run in blocks of rows small enough that their
     temporaries come from the heap rather than from fresh, page-faulting
     memory maps.
     """
@@ -179,32 +201,20 @@ def resize_bilinear(img: GrayImage, target: Resolution) -> GrayImage:
     h_src, w_src = src.shape
     if (target.height, target.width) == (h_src, w_src):
         return img  # sx = x and fx = 0: every pixel samples itself
-
-    sx = ((np.arange(target.width) + 0.5) * w_src) / target.width - 0.5
-    sy = ((np.arange(target.height) + 0.5) * h_src) / target.height - 0.5
-    np.clip(sx, 0.0, w_src - 1.0, out=sx)
-    np.clip(sy, 0.0, h_src - 1.0, out=sy)
-
-    x0 = np.floor(sx).astype(np.intp)
-    y0 = np.floor(sy).astype(np.intp)
-    fx = sx - x0
-    fy = sy - y0
-    x1 = np.minimum(x0 + 1, w_src - 1)
-    y1 = np.minimum(y0 + 1, h_src - 1)
+    x0, x1, wx0, wx1, y0, y1, wy0, wy1, step = _resize_plan(h_src, w_src, target)
 
     # separable: interpolate along x once per source row, then blend rows,
     # rounding each block in place into the uint8 output
-    step = max(1, _ROW_BLOCK // target.width)
     rows = np.empty((h_src, target.width))
     for r in range(0, h_src, step):
         b = slice(r, r + step)
-        np.multiply(src[b, x0], 1.0 - fx, out=rows[b])
-        rows[b] += src[b, x1] * fx
+        np.multiply(src[b, x0], wx0, out=rows[b])
+        rows[b] += src[b, x1] * wx1
     out = np.empty((target.height, target.width), dtype=np.uint8)
     for r in range(0, target.height, step):
         b = slice(r, r + step)
-        values = rows[y0[b]] * (1.0 - fy[b, None])
-        values += rows[y1[b]] * fy[b, None]
+        values = rows[y0[b]] * wy0[b]
+        values += rows[y1[b]] * wy1[b]
         values += 0.5
         out[b] = values  # truncates, which is floor on [0.5, 256)
     return GrayImage(out)

@@ -85,15 +85,23 @@ class TestLbpTransform:
             assert got.tolist() == expected
 
     @pytest.mark.parametrize("cmp", [Comparator.STRICT_GREATER, Comparator.GREATER_EQUAL])
-    @pytest.mark.parametrize("shape", [(3, 3), (3, 17), (17, 3), (40, 60)])
+    @pytest.mark.parametrize(
+        "shape", [(3, 3), (3, 17), (17, 3), (40, 60), (3, 4), (4, 3), (5, 7), (9, 4)]
+    )
     def test_matches_bitwise_reference_with_ties(self, cmp, shape):
-        # four gray levels make center-neighbor ties common in every direction
+        # four gray levels make center-neighbor ties common in every direction;
+        # codes run over the flattened pixels, so neighbors wrap to the next
+        # row at the side borders, and those codes must all be cut away
         rng = np.random.default_rng(43)
         strict = cmp is Comparator.STRICT_GREATER
         for _ in range(20):
             pixels = rng.integers(0, 4, size=shape)
-            got = lbp_transform(GrayImage(pixels), cmp)
-            assert got.tolist() == lbp_reference(pixels.tolist(), strict=strict)
+            expected = lbp_reference(pixels.tolist(), strict=strict)
+            for layout in (pixels, np.asfortranarray(pixels)):
+                got = lbp_transform(GrayImage(layout), cmp)
+                assert got.dtype == np.uint8 and got.flags.c_contiguous
+                assert got.shape == (shape[0] - 2, shape[1] - 2)
+                assert got.tolist() == expected
 
     @settings(max_examples=200, deadline=None)
     @given(

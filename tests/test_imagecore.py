@@ -10,6 +10,7 @@ from texscreen.imagecore import (
     PnmDecodeError,
     Resolution,
     _read_token,
+    _resize_plan,
     decode_image,
     encode_pgm,
     resize_bilinear,
@@ -312,6 +313,36 @@ class TestResize:
                 assert out.dtype == np.uint8
                 assert np.array_equal(out, _resize_four_gathers(img, target)), (h, w, target)
 
+    def test_plan_key_includes_source_shape(self):
+        # two source sizes resized to one target, interleaved: a plan keyed
+        # by the target alone would resample the second size with the first's
+        rng = np.random.default_rng(41)
+        target = Resolution(23, 17)
+        images = [GrayImage(rng.integers(0, 256, size=shape)) for shape in ((48, 64), (30, 41))]
+        for img in images * 3:
+            out = resize_bilinear(img, target).pixels
+            assert np.array_equal(out, _resize_four_gathers(img, target)), img.pixels.shape
+
+    def test_repeat_call_after_cache_hit(self):
+        rng = np.random.default_rng(43)
+        img = GrayImage(rng.integers(0, 256, size=(19, 26)))
+        target = Resolution(11, 31)
+        first = resize_bilinear(img, target).pixels
+        hits = _resize_plan.cache_info().hits
+        again = resize_bilinear(img, target).pixels
+        assert _resize_plan.cache_info().hits == hits + 1
+        assert np.array_equal(first, again)
+        assert np.array_equal(again, _resize_four_gathers(img, target))
+
+    def test_cached_plan_is_read_only(self):
+        plan = _resize_plan(12, 9, Resolution(5, 7))
+        assert plan is _resize_plan(12, 9, Resolution(5, 7))
+        arrays = [a for a in plan if isinstance(a, np.ndarray)]
+        assert len(arrays) == 8
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
     def test_extremes_need_no_clamp(self):
         # one source pixel more than the target puts the last sample's weight
         # at 1 - 0.5/999; blends of 255s may land a few ulps above 255 and of
@@ -410,3 +441,19 @@ class TestTypes:
     def test_resolution_must_be_positive(self):
         with pytest.raises(ValueError):
             Resolution(0, 5)
+
+    @pytest.mark.parametrize(
+        "width, height",
+        [(5.0, 5), (5, 5.0), (np.float64(5), 5), (True, 5), (5, False), (np.bool_(True), 5), ("5", 5)],
+    )
+    def test_resolution_rejects_non_integers(self, width, height):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            Resolution(width, height)
+
+    @pytest.mark.parametrize("make", [np.int64, np.int32, np.uint16])
+    def test_resolution_normalises_numpy_integers(self, make):
+        res = Resolution(make(5), make(7))
+        assert type(res.width) is int and type(res.height) is int
+        assert res == Resolution(5, 7)
+        assert hash(res) == hash(Resolution(5, 7))
+        assert str(res.width) == "5"

@@ -10,7 +10,9 @@ visited in fixed order with no shrinking or random permutation: step i
 sets each fold's alpha_i to clip((1 - sum_{j != i} Q_ij alpha_j) / Q_ii,
 0, u_fi) (Hsieh et al. 2008), the state's dot product with row i of a
 per-table step matrix (-Q_ij / Q_ii, 0 on the diagonal, then 1 / Q_ii),
-clipped to the fold's box. A zero feature row has Q_ii = 0 and step row
+clipped to the fold's box. So a step is one per-fold dot product and
+two clamps, on per-coordinate views of the state and bounds built once
+per set of active folds. A zero feature row has Q_ii = 0 and step row
 (0, ..., 0, C): its row of Q is exactly 0, so its gradient is always -1
 and alpha_i = C is its optimum. The features are L1-normalised
 histograms, whose smallest non-zero entry squared cannot underflow, so
@@ -33,6 +35,7 @@ w_f.x_f + b_f is y_f G[f, f] + b_f, so no weight vector is formed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,18 +43,20 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Solver settings; a numpy integer pass cap becomes `int`."""
+
     c: float = 1.0
     max_outer_iterations: int = 100
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        # `not x > 0` also rejects NaN
-        if not self.c > 0:
-            raise ValueError("penalty c must be positive")
-        if not self.max_outer_iterations > 0:
-            raise ValueError("max_outer_iterations must be positive")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        for name, value in (("penalty c", self.c), ("tolerance", self.tolerance)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, not {value!r}")
+        cap = self.max_outer_iterations
+        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+            raise ValueError(f"max_outer_iterations must be positive and an integer, not {cap!r}")
+        object.__setattr__(self, "max_outer_iterations", int(cap))
 
 
 @dataclass(eq=False)
@@ -118,33 +123,38 @@ def solve_folds(
 
     # each fold's bound on each alpha_i: C, or 0 for the sample it holds out
     bounds = np.where(held_out[:, None] != np.arange(n), c, 0.0)
-    # the folds still iterating, with their bounds transposed and their state
+    # the folds still iterating, with their bounds and their state
     active = np.arange(held_out.size)
-    upper = bounds.T.copy()
+    fold_bounds = bounds
     state = np.zeros((held_out.size, n + 1))  # (alpha, 1)
     state[:, n] = 1.0
+    vecdot, maximum, minimum = np.vecdot, np.maximum, np.minimum
     done_passes = 0
     while active.size:
+        # (step row, alpha column, bound column) of each coordinate, as views
+        # made once for each set of active folds
         alpha = state[:, :n]
-        v = np.empty(active.size)
-        for row, column, bound in zip(step, alpha.T, upper):
-            np.vecdot(state, row, out=v)
-            np.maximum(v, 0.0, out=v)
-            np.minimum(v, bound, out=column)
-        done_passes += 1
-        # G = alpha Q one fold at a time, so a fold rounds alike in any batch
-        grad = np.matmul(alpha[:, None, :], q)[:, 0, :]
-        met = projected_gradient(grad - 1.0, alpha, upper.T) <= cfg.tolerance
-        done = met | (done_passes >= cfg.max_outer_iterations)
-        if done.any():
-            rows = active[done]
-            final_alpha[rows] = alpha[done]
-            final_grad[rows] = grad[done]
-            passes[rows] = done_passes
-            converged[rows] = met[done]
-            left = ~done
-            active, state = active[left], state[left]
-            upper = upper[:, left]
+        steps = list(zip(step, alpha.T, fold_bounds.T.copy()))
+        v, zero = np.empty(active.size), np.zeros(active.size)
+        while True:
+            for row, column, bound in steps:
+                vecdot(state, row, out=v)
+                maximum(v, zero, out=v)
+                minimum(v, bound, out=column)
+            done_passes += 1
+            # G = alpha Q one fold at a time, so a fold rounds alike in any batch
+            grad = np.matmul(alpha[:, None, :], q)[:, 0, :]
+            met = projected_gradient(grad - 1.0, alpha, fold_bounds) <= cfg.tolerance
+            done = met | (done_passes >= cfg.max_outer_iterations)
+            if done.any():
+                break
+        rows = active[done]
+        final_alpha[rows] = alpha[done]
+        final_grad[rows] = grad[done]
+        passes[rows] = done_passes
+        converged[rows] = met[done]
+        left = ~done
+        active, state, fold_bounds = active[left], state[left], fold_bounds[left]
     margins = final_grad * y
     bias = _bias_from_margins(y, final_alpha, margins, bounds)
     return FoldSolutions(held_out, final_alpha, margins, bias, passes, converged)

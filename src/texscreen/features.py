@@ -101,4 +101,5 @@ def extract_feature(
 
 def format_feature(kind: FeatureKind, values: np.ndarray) -> str:
     """One-line text form `kind,v0,v1,...` with 17 significant digits."""
-    return ",".join([FeatureKind(kind).value] + [f"{v:.17g}" for v in values])
+    # Python floats format as numpy's float64 scalars do, in less time
+    return ",".join([FeatureKind(kind).value] + [f"{v:.17g}" for v in np.asarray(values).tolist()])

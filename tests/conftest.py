@@ -4,7 +4,9 @@ The oracles deliberately avoid the library's code paths: the LBP reference
 walks pixels one by one in pure Python, the PNM token reference walks bytes
 one by one, the separator searches enumerate candidate geometries
 exhaustively, and the LOOCV reference trains one fold at a time with the
-per-fold dual solver the batched one replaced.
+per-fold dual solver the batched one replaced. `solve_folds_reference` is
+the batched solver's earlier pass loop, which made fresh per-coordinate
+views at every step: the current loop must match it bit for bit.
 `train_on_all` and `report_from_confusion` are no oracles: they call the
 library.
 """
@@ -19,7 +21,13 @@ import numpy as np
 import pytest
 
 import texscreen
-from texscreen.classifier import SolverConfig, solve_folds
+from texscreen.classifier import (
+    FoldSolutions,
+    SolverConfig,
+    _bias_from_margins as fold_bias,
+    projected_gradient as stop_value,
+    solve_folds,
+)
 from texscreen.dataset import DatasetEntry, LabeledDataset, SyntheticSpec, generate_synthetic
 from texscreen.evaluation import _report
 from texscreen.features import FeatureKind
@@ -254,6 +262,57 @@ def loocv_reference(features, labels, cfg):
             ReferenceFold(solution.passes, solution.converged, 1 if decision >= 0.0 else -1, decision)
         )
     return folds
+
+
+def solve_folds_reference(features, labels, held_out, cfg=SolverConfig()):
+    """`solve_folds` as it was before its per-coordinate views were built
+    once per active set: same step matrix, same clamps, same stop rule."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    n = x.shape[0]
+    q = (x @ x.T) * np.outer(y, y)
+    c = cfg.c
+    diagonal = q.diagonal()
+    scaled = diagonal > 0.0
+    step = np.zeros((n, n + 1))
+    step[scaled, :n] = q[scaled] / -diagonal[scaled, None]
+    step[scaled, n] = 1.0 / diagonal[scaled]
+    step[np.arange(n), np.arange(n)] = 0.0
+    step[~scaled, n] = c
+    held_out = np.asarray(held_out)
+    final_alpha = np.zeros((held_out.size, n))
+    final_grad = np.zeros((held_out.size, n))
+    passes = np.zeros(held_out.size, dtype=np.int64)
+    converged = np.zeros(held_out.size, dtype=bool)
+    bounds = np.where(held_out[:, None] != np.arange(n), c, 0.0)
+    active = np.arange(held_out.size)
+    upper = bounds.T.copy()
+    state = np.zeros((held_out.size, n + 1))
+    state[:, n] = 1.0
+    done_passes = 0
+    while active.size:
+        alpha = state[:, :n]
+        v = np.empty(active.size)
+        for row, column, bound in zip(step, alpha.T, upper):
+            np.vecdot(state, row, out=v)
+            np.maximum(v, 0.0, out=v)
+            np.minimum(v, bound, out=column)
+        done_passes += 1
+        grad = np.matmul(alpha[:, None, :], q)[:, 0, :]
+        met = stop_value(grad - 1.0, alpha, upper.T) <= cfg.tolerance
+        done = met | (done_passes >= cfg.max_outer_iterations)
+        if done.any():
+            rows = active[done]
+            final_alpha[rows] = alpha[done]
+            final_grad[rows] = grad[done]
+            passes[rows] = done_passes
+            converged[rows] = met[done]
+            left = ~done
+            active, state = active[left], state[left]
+            upper = upper[:, left]
+    margins = final_grad * y
+    bias = fold_bias(y, final_alpha, margins, bounds)
+    return FoldSolutions(held_out, final_alpha, margins, bias, passes, converged)
 
 
 def best_linear_accuracy_2d(points, labels):

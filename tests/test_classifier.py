@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from conftest import (
     loocv_reference,
     max_margin_separator_2d,
     random_separable_set,
+    solve_folds_reference,
     train_on_all,
 )
 from texscreen.classifier import SolverConfig, projected_gradient, solve_folds
@@ -24,6 +27,7 @@ from texscreen.imagecore import Resolution
 XOR_POINTS = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
 XOR_LABELS = np.array([-1, -1, 1, 1])
 KINDS = (FeatureKind.LBP, FeatureKind.GRAY, FeatureKind.CONCAT)
+SOLUTION_FIELDS = ("alpha", "margins", "bias", "passes", "converged")
 
 
 def _decisions(model, points):
@@ -39,6 +43,11 @@ def _loo(x, y, cfg=SolverConfig()):
 def _weights(x, y, sol):
     """(folds, d): w_f = sum_j alpha_fj y_j x_j."""
     return (sol.alpha * y) @ x
+
+
+def _frozen_tables(dataset, kinds):
+    images = [e.image for e in dataset.entries]
+    return feature_tables(images, kinds, Resolution(64, 48))
 
 
 def _random_problem(rng, n, d):
@@ -164,7 +173,7 @@ class TestSolver:
             batch = _loo(x, y, cfg)
             for k in range(len(y)):
                 alone = solve_folds(x, y, np.array([k]), cfg)
-                for field in ("alpha", "margins", "bias", "passes", "converged"):
+                for field in SOLUTION_FIELDS:
                     assert np.array_equal(getattr(alone, field)[0], getattr(batch, field)[k]), (
                         k,
                         field,
@@ -205,7 +214,7 @@ class TestSolver:
         got = projected_gradient(gradient, alpha, bounds)
         assert (got == gradient_violations(gradient, alpha, held_out, c)).all()
 
-    def test_stop_value_taken_once_per_pass(self, monkeypatch):
+    def test_stop_value_taken_once_per_pass(self, monkeypatch, synthetic_benchmark):
         # the benchmark marks every pass at this module-level call
         calls = []
         stop_value = texscreen.classifier.projected_gradient
@@ -222,6 +231,54 @@ class TestSolver:
                 calls.clear()
                 sol = solve_folds(x, y, held_out, cfg)
                 assert len(calls) == sol.passes.max()
+        # folds that leave the batch at different passes: still one call a pass
+        y = np.array([e.label for e in synthetic_benchmark.entries])
+        x = _frozen_tables(synthetic_benchmark, (FeatureKind.LBP,))[FeatureKind.LBP]
+        calls.clear()
+        sol = _loo(x, y, SolverConfig(c=10.0, max_outer_iterations=1000))
+        assert np.unique(sol.passes).size > 1
+        assert len(calls) == sol.passes.max()
+        assert len(calls[-1][0]) == (sol.passes == sol.passes.max()).sum()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bytes_match_earlier_pass_loop(self, data):
+        # the per-coordinate views built once per active set change no bit
+        # of any fold: held-out sets with n (nothing held out), repeats and
+        # subsets, pass caps that stop folds early
+        n = data.draw(st.integers(2, 10), label="n")
+        d = data.draw(st.integers(1, 5), label="d")
+        # entries 0 or at least 1e-3 in size, so no Q_ii underflows
+        sized = st.floats(1e-3, 4.0) | st.floats(-4.0, -1e-3)
+        values = st.sampled_from([0.0, 0.5, -1.0, 2.0]) | sized
+        x = data.draw(hnp.arrays(np.float64, (n, d), elements=values), label="x")
+        y = np.array(data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
+        held_out = np.array(
+            data.draw(st.lists(st.integers(0, n), min_size=1, max_size=2 * n), label="held_out")
+        )
+        cfg = SolverConfig(
+            c=data.draw(st.sampled_from([0.1, 1.0, 10.0, 100.0]), label="c"),
+            max_outer_iterations=data.draw(st.sampled_from([1, 2, 1000]), label="cap"),
+        )
+        got = solve_folds(x, y, held_out, cfg)
+        want = solve_folds_reference(x, y, held_out, cfg)
+        for field in SOLUTION_FIELDS:
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+    def test_frozen_solutions_pinned(self, synthetic_benchmark):
+        # every bit of every fold at the loocv-solver settings, recorded
+        # before the per-coordinate views were built once per active set;
+        # reports pin only the signs of decisions
+        y = np.array([e.label for e in synthetic_benchmark.entries])
+        tables = _frozen_tables(synthetic_benchmark, (FeatureKind.LBP, FeatureKind.CONCAT))
+        digest = hashlib.sha256()
+        for kind in (FeatureKind.LBP, FeatureKind.CONCAT):
+            sol = _loo(tables[kind], y, SolverConfig(c=10.0, max_outer_iterations=1000))
+            for field in SOLUTION_FIELDS:
+                digest.update(getattr(sol, field).tobytes())
+        assert digest.hexdigest() == (
+            "92083e92ff1466c936bd3ff590a9ae47ae262672958ed33b81cd51b9ddd59a29"
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -363,11 +420,32 @@ class TestSolverConfig:
             {"tolerance": 0.0},
             {"c": float("nan")},
             {"tolerance": float("nan")},
+            {"c": float("inf")},
+            {"tolerance": float("inf")},
+            {"c": np.float64("-inf")},
+            {"max_outer_iterations": 2.5},
+            {"max_outer_iterations": 3.0},
+            {"max_outer_iterations": True},
+            {"max_outer_iterations": np.bool_(True)},
+            {"max_outer_iterations": "5"},
+            {"max_outer_iterations": np.float64(2.0)},
+            {"max_outer_iterations": np.int64(-1)},
         ],
     )
     def test_rejects_non_positive_fields(self, kwargs):
-        with pytest.raises(ValueError, match="must be positive"):
+        # also infinite c and tolerance, and non-integral or bool pass caps
+        [(name, value)] = kwargs.items()
+        name = "penalty c" if name == "c" else name
+        message = f"^{name} must be positive and .*, not {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("cap", [np.int64(7), np.int32(7), np.uint16(7)])
+    def test_normalises_numpy_pass_cap(self, cap):
+        cfg = SolverConfig(max_outer_iterations=cap)
+        assert type(cfg.max_outer_iterations) is int
+        assert cfg == SolverConfig(max_outer_iterations=7)
+        assert hash(cfg) == hash(SolverConfig(max_outer_iterations=7))
 
     def test_defaults(self):
         cfg = SolverConfig()

@@ -252,3 +252,16 @@ class TestExtractAndSerialize:
             assert len(tokens) == 1 + v.shape[0]
             for token, value in zip(tokens[1:], v):
                 assert float(token) == value
+
+    def test_format_matches_numpy_scalar_form(self):
+        # Python floats print each value as float64 scalars do: extremes,
+        # subnormals, values one ulp off, and histogram rows
+        edges = [0.0, 5e-324, 2.0**-1074, 1 / 3, 1 - 2.0**-53, 1.0, 2.0**-1022, 0.1]
+        rng = np.random.default_rng(67)
+        counts = rng.integers(0, 40, size=(4, 256))
+        counts[0, 1:] = 0  # one bin holds everything
+        rows = [np.array(edges)] + list(counts / counts.sum(axis=1, keepdims=True))
+        rows.append(extract_feature(GrayImage(rng.integers(0, 256, (9, 11))), FeatureKind.CONCAT))
+        for row in rows:
+            want = ",".join(["lbp"] + [f"{np.float64(v):.17g}" for v in row])
+            assert format_feature(FeatureKind.LBP, row) == want

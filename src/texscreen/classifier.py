@@ -1,9 +1,9 @@
 """Linear C-SVC trained by deterministic dual coordinate descent, every
 leave-one-out fold of a feature table at once.
 
-A fold maximizes the soft-margin dual over box-constrained variables
-alpha_j in [0, u_fj]: its bound u_fj is C, or 0 for the sample it holds
-out, and this bound matrix is the only record of what a fold holds out.
+Fold f holds out sample f. It maximizes the soft-margin dual over
+box-constrained variables alpha_j in [0, u_fj]: its bound u_fj is C, or
+0 for j = f, so the bound matrix is C off the diagonal and 0 on it.
 The folds of one table share the signed Gram matrix Q = (X X^T) o (y y^T)
 and keep their iterates as rows of a state matrix (alpha, 1). Samples are
 visited in fixed order with no shrinking or random permutation: step i
@@ -12,19 +12,21 @@ sets each fold's alpha_i to clip((1 - sum_{j != i} Q_ij alpha_j) / Q_ii,
 per-table step matrix (-Q_ij / Q_ii, 0 on the diagonal, then 1 / Q_ii),
 clipped to the fold's box. So a step is one per-fold dot product and
 two clamps, on per-coordinate views of the state and bounds built once
-per set of active folds. A zero feature row has Q_ii = 0 and step row
-(0, ..., 0, C): its row of Q is exactly 0, so its gradient is always -1
-and alpha_i = C is its optimum. The features are L1-normalised
-histograms, whose smallest non-zero entry squared cannot underflow, so
-Q_ii = 0 only on a zero row. After each pass G = alpha Q is formed:
+per set of active folds. A row whose Q_ii is below the smallest normal
+float, so that 1 / Q_ii would overflow, has step row (0, ..., 0, C): its
+entries are below 1.5e-154 in size, so its gradient, -1 plus terms of
+that order times C |x_j|, is negative (exactly -1 on a zero row) and
+alpha_i = C is its optimum. The features are L1-normalised histograms,
+whose smallest non-zero entry squared is a normal float, so there only a
+zero row takes this step. After each pass G = alpha Q is formed:
 G[f, j] = y_j (w_f . x_j) is sample j's signed margin under fold f. With
 g = G - 1, a fold stops at the pass cap or once its largest projected
 gradient is within tolerance (Fan et al. 2008): g_j where alpha_j may
 fall (is above 0), -g_j where it may rise (is below its bound). A
 held-out variable, bound 0, can do neither and never counts. Dot products
 and G are taken one fold at a time, never as a 2-D matrix product, whose
-rounding depends on the batch: a fold is bit-identical alone or among
-others.
+rounding depends on the batch: a fold rounds alike however many other
+folds are still iterating.
 
 The bias of a fold is recovered from its training margins w.x_j: the mean
 of y_j - w.x_j over free support vectors, which may both fall and rise,
@@ -61,22 +63,18 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class FoldSolutions:
-    """Every fold at termination; row f trains on all samples but held_out[f]."""
+    """Every fold at termination; row f trains on all samples but sample f."""
 
-    held_out: np.ndarray  # (folds,) sample index, n for a fold that holds none out
-    alpha: np.ndarray  # (folds, n); a fold's held-out column stays 0
-    margins: np.ndarray  # (folds, n): w_f . x_j
+    alpha: np.ndarray  # (n, n); the diagonal, each fold's held-out alpha, stays 0
+    margins: np.ndarray  # (n, n): w_f . x_j
     bias: np.ndarray
     passes: np.ndarray
     converged: np.ndarray  # the fold met its tolerance before the pass cap
 
     @property
     def decisions(self) -> np.ndarray:
-        """w_f . x_f + b_f for each fold's held-out sample; a ValueError if
-        some fold holds none out."""
-        if (self.held_out == self.margins.shape[1]).any():
-            raise ValueError("a fold that holds out no sample has no held-out decision")
-        return self.margins[np.arange(self.held_out.size), self.held_out] + self.bias
+        """w_f . x_f + b_f for each fold's held-out sample f."""
+        return self.margins.diagonal() + self.bias
 
 
 def projected_gradient(gradient: np.ndarray, alpha: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -93,14 +91,10 @@ def projected_gradient(gradient: np.ndarray, alpha: np.ndarray, upper: np.ndarra
 def solve_folds(
     features: np.ndarray,
     labels: np.ndarray,
-    held_out: np.ndarray,
     cfg: SolverConfig = SolverConfig(),
 ) -> FoldSolutions:
-    """Run fixed-order coordinate descent on every fold's dual at once.
-
-    Fold f trains on every row of the (n, d) `features` but row
-    `held_out[f]`; an index of n holds nothing out. A fold's result does
-    not depend on which other folds share the call.
+    """Run fixed-order coordinate descent on the duals of all n leave-one-out
+    folds of the (n, d) `features` at once: fold f trains on every row but f.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -108,25 +102,25 @@ def solve_folds(
     q = (x @ x.T) * np.outer(y, y)
     c = cfg.c
     diagonal = q.diagonal()
-    scaled = diagonal > 0.0
+    scaled = diagonal >= np.finfo(np.float64).tiny
     # (alpha, 1) . step[i] is alpha_i before the clip
     step = np.zeros((n, n + 1))
     step[scaled, :n] = q[scaled] / -diagonal[scaled, None]
     step[scaled, n] = 1.0 / diagonal[scaled]
     step[np.arange(n), np.arange(n)] = 0.0
     step[~scaled, n] = c
-    held_out = np.asarray(held_out)
-    final_alpha = np.zeros((held_out.size, n))
-    final_grad = np.zeros((held_out.size, n))
-    passes = np.zeros(held_out.size, dtype=np.int64)
-    converged = np.zeros(held_out.size, dtype=bool)
+    final_alpha = np.zeros((n, n))
+    final_grad = np.zeros((n, n))
+    passes = np.zeros(n, dtype=np.int64)
+    converged = np.zeros(n, dtype=bool)
 
     # each fold's bound on each alpha_i: C, or 0 for the sample it holds out
-    bounds = np.where(held_out[:, None] != np.arange(n), c, 0.0)
+    bounds = np.full((n, n), c)
+    np.fill_diagonal(bounds, 0.0)
     # the folds still iterating, with their bounds and their state
-    active = np.arange(held_out.size)
+    active = np.arange(n)
     fold_bounds = bounds
-    state = np.zeros((held_out.size, n + 1))  # (alpha, 1)
+    state = np.zeros((n, n + 1))  # (alpha, 1)
     state[:, n] = 1.0
     vecdot, maximum, minimum = np.vecdot, np.maximum, np.minimum
     done_passes = 0
@@ -157,7 +151,7 @@ def solve_folds(
         active, state, fold_bounds = active[left], state[left], fold_bounds[left]
     margins = final_grad * y
     bias = _bias_from_margins(y, final_alpha, margins, bounds)
-    return FoldSolutions(held_out, final_alpha, margins, bias, passes, converged)
+    return FoldSolutions(final_alpha, margins, bias, passes, converged)
 
 
 def _bias_from_margins(

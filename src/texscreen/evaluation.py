@@ -190,12 +190,11 @@ def _loocv_reports(
             "training set must contain both labels"
         )
     images = [e.image for e in data.entries]
-    held_out = np.arange(len(data))
     sweep = {}
     for res in resolutions:
         reports = sweep[res] = {}
         for kind, table in feature_tables(images, kinds, res, cmp).items():
-            solution = solve_folds(table, labels, held_out, cfg)
+            solution = solve_folds(table, labels, cfg)
             reports[kind] = _report(data, labels, kind, solution.decisions, solution.converged)
     return sweep
 

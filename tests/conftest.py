@@ -55,10 +55,15 @@ def synthetic_benchmark():
 
 
 def train_on_all(features, labels, cfg=SolverConfig()):
-    """(weights, bias) of the C-SVC that `solve_folds` trains on every sample."""
+    """(weights, bias) of the C-SVC that `solve_folds` trains on every sample.
+
+    One zero row is appended and the last fold, which holds it out, is the
+    model: that row's bound and its row of Q are both 0, so the fold trains
+    on exactly the given samples.
+    """
     x, y = np.asarray(features, dtype=float), np.asarray(labels)
-    sol = solve_folds(x, y, [len(y)], cfg)
-    return (sol.alpha[0] * y) @ x, sol.bias[0]
+    sol = solve_folds(np.vstack([x, np.zeros(x.shape[1])]), np.append(y, 1), cfg)
+    return (sol.alpha[-1, :-1] * y) @ x, sol.bias[-1]
 
 
 def report_from_confusion(nn, na, an, aa):
@@ -161,9 +166,10 @@ def gradient_violations(gradient, alpha, held_out, c):
 
 
 def fold_violations(labels, solution, c):
-    """Each fold's largest violation at termination, from its margins."""
+    """Each leave-one-out fold's largest violation at termination, from its
+    margins."""
     gradient = np.asarray(labels) * solution.margins - 1.0
-    return gradient_violations(gradient, solution.alpha, solution.held_out, c)
+    return gradient_violations(gradient, solution.alpha, np.arange(len(labels)), c)
 
 
 def solve_dual(features, labels, cfg):
@@ -266,7 +272,11 @@ def loocv_reference(features, labels, cfg):
 
 def solve_folds_reference(features, labels, held_out, cfg=SolverConfig()):
     """`solve_folds` as it was before its per-coordinate views were built
-    once per active set: same step matrix, same clamps, same stop rule."""
+    once per active set: same step matrix, same clamps, same stop rule.
+
+    Row f holds out sample `held_out[f]`, an index of n none. The result's
+    `decisions` read the diagonal of the margins, so they are the held-out
+    decisions only when `held_out` is every index in order."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     n = x.shape[0]
@@ -312,7 +322,7 @@ def solve_folds_reference(features, labels, held_out, cfg=SolverConfig()):
             upper = upper[:, left]
     margins = final_grad * y
     bias = fold_bias(y, final_alpha, margins, bounds)
-    return FoldSolutions(held_out, final_alpha, margins, bias, passes, converged)
+    return FoldSolutions(final_alpha, margins, bias, passes, converged)
 
 
 def best_linear_accuracy_2d(points, labels):

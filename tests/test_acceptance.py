@@ -119,11 +119,11 @@ def test_criterion_4_solver_suite():
         y = np.where(rng.random(10) < 0.5, 1, -1)
         y[0], y[1] = 1, -1
         folds = np.arange(10)
-        sol = solve_folds(x, y, folds, cfg)
+        sol = solve_folds(x, y, cfg)
         assert (sol.alpha >= 0.0).all() and (sol.alpha <= cfg.c).all()
         assert (sol.alpha[folds, folds] == 0.0).all()
         assert (fold_violations(y, sol, cfg.c)[sol.converged] <= 1e-6).all()
-        negated = solve_folds(x, -y, folds, cfg)
+        negated = solve_folds(x, -y, cfg)
         assert np.abs(sol.decisions + negated.decisions).max() <= 1e-6
 
     py_rng = random.Random(113)

@@ -35,11 +35,6 @@ def _decisions(model, points):
     return np.asarray(points, dtype=float) @ weights + bias
 
 
-def _loo(x, y, cfg=SolverConfig()):
-    """Every leave-one-out fold of (x, y), solved together."""
-    return solve_folds(x, y, np.arange(len(y)), cfg)
-
-
 def _weights(x, y, sol):
     """(folds, d): w_f = sum_j alpha_fj y_j x_j."""
     return (sol.alpha * y) @ x
@@ -58,7 +53,8 @@ def _random_problem(rng, n, d):
 
 
 class TestTrainCsvc:
-    """The C-SVC trained on every sample: the fold that holds nothing out."""
+    """The C-SVC trained on every sample: the fold that holds out an appended
+    zero row."""
 
     def test_separable_pair(self):
         model = train_on_all([[0.0], [1.0]], [-1, 1])
@@ -78,7 +74,7 @@ class TestTrainCsvc:
         rng = np.random.default_rng(67)
         x = rng.normal(size=(10, 4))
         y = np.where(np.arange(10) % 3 == 0, 1, -1)
-        pos, neg = _loo(x, y), _loo(x, -y)
+        pos, neg = solve_folds(x, y), solve_folds(x, -y)
         assert np.array_equal(pos.passes, neg.passes)
         assert np.abs(pos.decisions + neg.decisions).max() <= 1e-6
 
@@ -99,7 +95,7 @@ class TestSolver:
         cfg = SolverConfig()
         for _ in range(10):
             x, y = _random_problem(rng, 12, 3)
-            sol = _loo(x, y, cfg)
+            sol = solve_folds(x, y, cfg)
             assert (sol.alpha >= 0.0).all() and (sol.alpha <= cfg.c).all()
             assert sol.converged.any()
             assert (fold_violations(y, sol, cfg.c)[sol.converged] <= cfg.tolerance).all()
@@ -109,7 +105,7 @@ class TestSolver:
         x, y = _random_problem(rng, 8, 2)
         values = []
         for passes in range(1, 12):
-            sol = _loo(x, y, SolverConfig(max_outer_iterations=passes))
+            sol = solve_folds(x, y, SolverConfig(max_outer_iterations=passes))
             w = _weights(x, y, sol)
             values.append(sol.alpha.sum(axis=1) - 0.5 * np.einsum("fd,fd->f", w, w))
             if sol.converged.all():
@@ -120,7 +116,7 @@ class TestSolver:
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(79)
         x, y = _random_problem(rng, 15, 5)
-        s1, s2 = _loo(x, y), _loo(x.copy(), y.copy())
+        s1, s2 = solve_folds(x, y), solve_folds(x.copy(), y.copy())
         for field in ("alpha", "margins", "bias", "passes", "converged"):
             assert np.array_equal(getattr(s1, field), getattr(s2, field))
         (w1, b1), (w2, b2) = train_on_all(x, y), train_on_all(x.copy(), y.copy())
@@ -148,9 +144,9 @@ class TestSolver:
         # one-to-one between the scaled and unscaled trajectories
         rng = np.random.default_rng(89)
         x, y = _random_problem(rng, 12, 4)
-        base = _loo(x, y, SolverConfig(c=1.0))
+        base = solve_folds(x, y, SolverConfig(c=1.0))
         for s in (2.0, 0.5):
-            scaled = _loo(x * s, y, SolverConfig(c=1.0 / (s * s)))
+            scaled = solve_folds(x * s, y, SolverConfig(c=1.0 / (s * s)))
             assert np.array_equal(base.passes, scaled.passes)
             assert np.array_equal(
                 np.where(base.decisions >= 0, 1, -1), np.where(scaled.decisions >= 0, 1, -1)
@@ -170,9 +166,9 @@ class TestSolver:
         )[FeatureKind.LBP]
         problems.append((x, y, SolverConfig(c=10.0, max_outer_iterations=1000)))
         for x, y, cfg in problems:
-            batch = _loo(x, y, cfg)
+            batch = solve_folds(x, y, cfg)
             for k in range(len(y)):
-                alone = solve_folds(x, y, np.array([k]), cfg)
+                alone = solve_folds_reference(x, y, np.array([k]), cfg)
                 for field in SOLUTION_FIELDS:
                     assert np.array_equal(getattr(alone, field)[0], getattr(batch, field)[k]), (
                         k,
@@ -183,11 +179,26 @@ class TestSolver:
     def test_zero_feature_row_is_handled(self):
         x = np.array([[0.0, 0.0], [1.0, 0.5], [0.0, 0.0], [0.5, 1.0]])
         y = np.array([-1, 1, 1, -1])
-        for held_out in (np.array([4]), np.arange(4)):
-            sol = solve_folds(x, y, held_out)
-            assert ((sol.alpha >= 0.0) & (sol.alpha <= 1.0)).all()
-            assert np.isfinite(sol.margins).all() and np.isfinite(sol.bias).all()
-            assert (fold_violations(y, sol, 1.0)[sol.converged] <= 1e-6).all()
+        sol = solve_folds(x, y)
+        assert ((sol.alpha >= 0.0) & (sol.alpha <= 1.0)).all()
+        assert np.isfinite(sol.margins).all() and np.isfinite(sol.bias).all()
+        assert (fold_violations(y, sol, 1.0)[sol.converged] <= 1e-6).all()
+
+    def test_subnormal_diagonal_takes_the_zero_row_step(self):
+        # rows of 6e-155 have a subnormal Q_ii, whose reciprocal overflows:
+        # they take a zero row's step, so every fold training on them holds
+        # alpha = C, and the folds end as they did with the overflow ignored
+        x = np.array([[6.0e-155], [6.0e-155], [1.0], [0.5]])
+        y = np.array([1, -1, 1, -1])
+        tiny = ~np.eye(4, dtype=bool) & (np.arange(4) < 2)
+        for c, decisions in (
+            (1.0, [-0.25, -0.375, -0.375, 0.0]),
+            (10.0, [5.999999999999998e-155, 5.999999999999998e-155, -2.0, 0.5]),
+        ):
+            sol = solve_folds(x, y, SolverConfig(c=c))
+            assert (sol.alpha[tiny] == c).all()
+            assert sol.converged.all()
+            assert sol.decisions.tolist() == decisions
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -227,15 +238,14 @@ class TestSolver:
         rng = np.random.default_rng(107)
         for cfg in (SolverConfig(), SolverConfig(c=10.0), SolverConfig(max_outer_iterations=2)):
             x, y = _random_problem(rng, 12, 4)
-            for held_out in (np.arange(12), np.array([12])):
-                calls.clear()
-                sol = solve_folds(x, y, held_out, cfg)
-                assert len(calls) == sol.passes.max()
+            calls.clear()
+            sol = solve_folds(x, y, cfg)
+            assert len(calls) == sol.passes.max()
         # folds that leave the batch at different passes: still one call a pass
         y = np.array([e.label for e in synthetic_benchmark.entries])
         x = _frozen_tables(synthetic_benchmark, (FeatureKind.LBP,))[FeatureKind.LBP]
         calls.clear()
-        sol = _loo(x, y, SolverConfig(c=10.0, max_outer_iterations=1000))
+        sol = solve_folds(x, y, SolverConfig(c=10.0, max_outer_iterations=1000))
         assert np.unique(sol.passes).size > 1
         assert len(calls) == sol.passes.max()
         assert len(calls[-1][0]) == (sol.passes == sol.passes.max()).sum()
@@ -244,8 +254,7 @@ class TestSolver:
     @given(st.data())
     def test_bytes_match_earlier_pass_loop(self, data):
         # the per-coordinate views built once per active set change no bit
-        # of any fold: held-out sets with n (nothing held out), repeats and
-        # subsets, pass caps that stop folds early
+        # of any leave-one-out fold, also with pass caps that stop folds early
         n = data.draw(st.integers(2, 10), label="n")
         d = data.draw(st.integers(1, 5), label="d")
         # entries 0 or at least 1e-3 in size, so no Q_ii underflows
@@ -253,15 +262,12 @@ class TestSolver:
         values = st.sampled_from([0.0, 0.5, -1.0, 2.0]) | sized
         x = data.draw(hnp.arrays(np.float64, (n, d), elements=values), label="x")
         y = np.array(data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
-        held_out = np.array(
-            data.draw(st.lists(st.integers(0, n), min_size=1, max_size=2 * n), label="held_out")
-        )
         cfg = SolverConfig(
             c=data.draw(st.sampled_from([0.1, 1.0, 10.0, 100.0]), label="c"),
             max_outer_iterations=data.draw(st.sampled_from([1, 2, 1000]), label="cap"),
         )
-        got = solve_folds(x, y, held_out, cfg)
-        want = solve_folds_reference(x, y, held_out, cfg)
+        got = solve_folds(x, y, cfg)
+        want = solve_folds_reference(x, y, np.arange(n), cfg)
         for field in SOLUTION_FIELDS:
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
@@ -273,7 +279,7 @@ class TestSolver:
         tables = _frozen_tables(synthetic_benchmark, (FeatureKind.LBP, FeatureKind.CONCAT))
         digest = hashlib.sha256()
         for kind in (FeatureKind.LBP, FeatureKind.CONCAT):
-            sol = _loo(tables[kind], y, SolverConfig(c=10.0, max_outer_iterations=1000))
+            sol = solve_folds(tables[kind], y, SolverConfig(c=10.0, max_outer_iterations=1000))
             for field in SOLUTION_FIELDS:
                 digest.update(getattr(sol, field).tobytes())
         assert digest.hexdigest() == (
@@ -289,7 +295,7 @@ class TestSolver:
         x = data.draw(hnp.arrays(np.float64, (n, d), elements=st.sampled_from([0.0, 0.5, -1.0, 2.0])))
         y = np.array(data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
         cfg = SolverConfig(c=data.draw(st.sampled_from([0.1, 1.0, 10.0]), label="c"))
-        sol = _loo(x, y, cfg)
+        sol = solve_folds(x, y, cfg)
         assert ((sol.alpha >= 0.0) & (sol.alpha <= cfg.c)).all()
         training = np.arange(n)[:, None] != np.arange(n)
         assert (sol.alpha[~training] == 0.0).all()
@@ -304,7 +310,7 @@ class TestPerFoldReference:
     """The batched folds against the per-fold solver they replace."""
 
     def _check(self, x, y, cfg):
-        sol = _loo(x, y, cfg)
+        sol = solve_folds(x, y, cfg)
         ref = loocv_reference(x, y, cfg)
         assert sol.passes.tolist() == [f.passes for f in ref]
         assert sol.converged.tolist() == [f.converged for f in ref]
@@ -364,7 +370,7 @@ class TestPredictAndSerialize:
         # zero features give every fold zero weights: its decision is its bias
         x = np.zeros((6, 3))
         y = np.array([1, -1, 1, -1, 1, -1])
-        sol = _loo(x, y, SolverConfig(c=2.0))
+        sol = solve_folds(x, y, SolverConfig(c=2.0))
         assert (sol.margins == 0.0).all()
         assert np.array_equal(sol.decisions, sol.bias)
 
@@ -372,36 +378,24 @@ class TestPredictAndSerialize:
         # the decision read from G equals w_f . x_f + b_f with w_f built from alpha
         rng = np.random.default_rng(97)
         x, y = _random_problem(rng, 12, 5)
-        sol = _loo(x, y, SolverConfig(c=10.0))
+        sol = solve_folds(x, y, SolverConfig(c=10.0))
         w = _weights(x, y, sol)
         assert np.abs(sol.margins - w @ x.T).max() <= 1e-12
         assert np.abs(sol.decisions - (np.einsum("fd,fd->f", w, x) + sol.bias)).max() <= 1e-12
 
     def test_linearity_in_x(self):
         # a fold never reads its held-out row, so scaling that row by 2 scales
-        # only w_f . x_f, exactly
+        # only w_f . x_f of fold f, exactly
         rng = np.random.default_rng(101)
         x, y = _random_problem(rng, 10, 4)
-        base = _loo(x, y)
+        base = solve_folds(x, y)
         for k in (0, 5, 9):
             doubled = x.copy()
             doubled[k] *= 2.0
-            fold = solve_folds(doubled, y, np.array([k]))
-            assert np.array_equal(fold.alpha[0], base.alpha[k])
-            assert fold.bias[0] == base.bias[k]
-            assert fold.decisions[0] - fold.bias[0] == 2.0 * (base.decisions[k] - base.bias[k])
-
-    def test_fold_holding_nothing_out_has_no_decision(self):
-        # held-out index n is a full fit: its alpha and bias exist, its
-        # held-out decision does not
-        x, y = XOR_POINTS, XOR_LABELS
-        sol = solve_folds(x, y, np.array([4]))
-        assert sol.bias.shape == (1,)
-        message = "^a fold that holds out no sample has no held-out decision$"
-        with pytest.raises(ValueError, match=message):
-            sol.decisions
-        with pytest.raises(ValueError, match="holds out no sample"):
-            solve_folds(x, y, np.array([0, 4])).decisions
+            sol = solve_folds(doubled, y)
+            assert np.array_equal(sol.alpha[k], base.alpha[k])
+            assert sol.bias[k] == base.bias[k]
+            assert sol.decisions[k] - sol.bias[k] == 2.0 * (base.decisions[k] - base.bias[k])
 
     def test_sign_rule_and_tie(self):
         assert _predicted_label(3.2) == 1

@@ -6,7 +6,6 @@ from .dataset import (
     LabeledDataset,
     ManifestError,
     SyntheticSpec,
-    filter_group,
     generate_synthetic,
     load_manifest,
     serialize_manifest,
@@ -56,7 +55,6 @@ __all__ = [
     "encode_pgm",
     "extract_feature",
     "feature_tables",
-    "filter_group",
     "format_feature",
     "generate_synthetic",
     "lbp_transform",

@@ -98,7 +98,15 @@ def solve_folds(
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
+    if x.ndim != 2 or y.shape != x.shape[:1]:
+        raise ValueError("labels must be one per row of an (n, d) feature matrix")
     n = x.shape[0]
+    if n < 2:
+        raise ValueError(f"leave-one-out needs at least 2 samples, not {n}")
+    if not (np.abs(y) == 1.0).all():
+        raise ValueError("labels must be +1 or -1")
+    if not np.isfinite(x).all():
+        raise ValueError("features must be finite")
     q = (x @ x.T) * np.outer(y, y)
     c = cfg.c
     diagonal = q.diagonal()

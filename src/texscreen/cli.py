@@ -25,7 +25,6 @@ from .dataset import (
     LabeledDataset,
     ManifestError,
     SyntheticSpec,
-    filter_group,
     generate_synthetic,
     load_manifest,
     serialize_manifest,
@@ -216,13 +215,11 @@ def _load_dataset(path_text: str, group: str) -> LabeledDataset:
     """The manifest's entries (of one group, unless `group` is "all") with
     their images decoded to gray; image paths resolve against the manifest."""
     path = Path(path_text)
-    manifest = load_manifest(path.read_bytes())
-    if group != "all":
-        manifest = filter_group(manifest, int(group))
     return LabeledDataset(
         tuple(
             replace(e, image=decode_image((path.parent / e.path).read_bytes()))
-            for e in manifest.entries
+            for e in load_manifest(path.read_bytes()).entries
+            if group in ("all", str(e.group))
         )
     )
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -93,6 +93,11 @@ class SyntheticSpec:
     smoothing_radius: int = 2
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{field.name} must be an integer, not {value!r}")
+            object.__setattr__(self, field.name, int(value))
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.per_class < 2:
@@ -181,16 +186,14 @@ def load_manifest(data: bytes | str) -> LabeledDataset:
             raise ManifestError(f"unknown label {label_token!r}", lineno)
         if group_token not in ("1", "2"):
             raise ManifestError(f"unknown group {group_token!r}", lineno)
+        if not sample_id:
+            raise ManifestError("sample id must be non-empty", lineno)
         if sample_id in seen:
             raise ManifestError(f"duplicate id {sample_id!r}", lineno)
         seen.add(sample_id)
-        try:
-            entry = DatasetEntry(
-                sample_id, None, LABEL_VALUES[label_token], int(group_token), path
-            )
-        except ValueError as exc:
-            raise ManifestError(str(exc), lineno) from None
-        entries.append(entry)
+        entries.append(
+            DatasetEntry(sample_id, None, LABEL_VALUES[label_token], int(group_token), path)
+        )
     return LabeledDataset(tuple(entries))
 
 
@@ -203,13 +206,6 @@ def serialize_manifest(dataset: LabeledDataset) -> str:
     for e in dataset.entries:
         writer.writerow([e.sample_id, e.path, LABEL_NAMES[e.label], str(e.group)])
     return buf.getvalue()
-
-
-def filter_group(dataset: LabeledDataset, group: int) -> LabeledDataset:
-    """Entries of one group, original order preserved; may be empty."""
-    if group not in (1, 2):
-        raise ValueError("group must be 1 or 2")
-    return LabeledDataset(tuple(e for e in dataset.entries if e.group == group))
 
 
 def _box_blur(pixels: np.ndarray, radius: int) -> np.ndarray:

@@ -64,7 +64,7 @@ def lbp_transform(img: GrayImage, cmp: Comparator = Comparator.STRICT_GREATER) -
     codes = np.zeros((h - 2) * w, dtype=np.uint8)
     run = codes[:n]
     hits = np.empty(n, dtype=bool)
-    compare = np.greater if cmp is Comparator.STRICT_GREATER else np.greater_equal
+    compare = np.greater if Comparator(cmp) is Comparator.STRICT_GREATER else np.greater_equal
     # doubling shifts the bits set so far up by one before the next lands in bit 0
     for dy, dx in _NEIGHBORS:
         at = start + dy * w + dx

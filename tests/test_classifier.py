@@ -404,6 +404,33 @@ class TestPredictAndSerialize:
         assert _predicted_label(-0.0) == 1
 
 
+class TestSolverInputs:
+    """`solve_folds` is a public boundary: it rejects what it cannot solve."""
+
+    @pytest.mark.parametrize(
+        "features, labels, message",
+        [
+            ([[1.0], [2.0], [3.0]], [2, -1, 1], "labels must be +1 or -1"),
+            ([[1.0], [2.0], [3.0]], [0, 1, -1], "labels must be +1 or -1"),
+            ([[1.0], [2.0], [3.0]], [1, -1, np.nan], "labels must be +1 or -1"),
+            ([[1.0], [2.0], [3.0]], [1, -1], "labels must be one per row"),
+            ([[1.0], [2.0]], [[1, -1]], "labels must be one per row"),
+            ([1.0, 2.0, 3.0], [1, -1, 1], "labels must be one per row"),
+            ([[1.0], [np.nan], [3.0]], [1, -1, 1], "features must be finite"),
+            ([[1.0], [np.inf], [3.0]], [1, -1, 1], "features must be finite"),
+            ([[1.0]], [1], "at least 2 samples, not 1"),
+            (np.zeros((0, 3)), [], "at least 2 samples, not 0"),
+        ],
+    )
+    def test_rejects_unsolvable_input(self, features, labels, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve_folds(features, labels)
+
+    def test_two_samples_solve(self):
+        sol = solve_folds([[0.0], [1.0]], [-1, 1])
+        assert np.isfinite(sol.decisions).all()
+
+
 class TestSolverConfig:
     @pytest.mark.parametrize(
         "kwargs",

@@ -226,6 +226,28 @@ class TestExtractAnyManifest:
         flags = ["--group", "1"]
         self._evaluations_fail(manifest, flags, "dataset must contain both labels", capsys)
 
+    def test_group_reads_only_its_own_images(self, tmp_path, capsys):
+        # a group-2 row whose image is missing, between group-1 rows
+        bench = _synth(tmp_path, per_class=4)
+        rows = (bench / "manifest.csv").read_text().splitlines()
+        rows.insert(3, "gone,missing.pgm,normal,2")
+        manifest = bench / "gapped.csv"
+        manifest.write_text("\n".join(rows) + "\n")
+        everything, grouped = tmp_path / "all.txt", tmp_path / "g1.txt"
+        assert self._extract(str(bench / "manifest.csv"), everything) == EXIT_OK
+        assert self._extract(str(manifest), grouped, "--group", "1") == EXIT_OK
+        listed = [row.split(",") for row in rows[1:] if row.split(",")[0] != "gone"]
+        expected = [
+            line
+            for (_, _, _, group), line in zip(listed, everything.read_text().splitlines())
+            if group == "1"
+        ]
+        assert len(expected) == 4
+        assert grouped.read_text().splitlines() == expected
+        capsys.readouterr()
+        assert self._extract(str(manifest), grouped, "--group", "2") == EXIT_UNREADABLE
+        assert "missing.pgm" in capsys.readouterr().err
+
     def test_empty_selection_writes_empty_output(self, tmp_path):
         manifest = self._manifest(tmp_path, ["normal-000,normal-000.pgm,normal,1"])
         out = tmp_path / "features.txt"

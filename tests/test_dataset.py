@@ -15,7 +15,6 @@ from texscreen.dataset import (
     SyntheticSpec,
     _box_blur,
     _swap_sources,
-    filter_group,
     generate_synthetic,
     load_manifest,
     serialize_manifest,
@@ -94,8 +93,9 @@ class TestLoadManifest:
         assert err.value.line == 1
 
     def test_empty_id_names_line(self):
-        with pytest.raises(ManifestError, match="sample id") as err:
+        with pytest.raises(ManifestError) as err:
             load_manifest("id,path,label,group\na,x.pgm,normal,1\n,y.pgm,normal,1\n")
+        assert str(err.value) == "sample id must be non-empty (line 3)"
         assert err.value.line == 3
 
     def test_empty_path_rejected(self):
@@ -150,28 +150,6 @@ class TestLoadManifest:
             load_manifest(data)
         except ManifestError:
             pass
-
-
-class TestFilterGroup:
-    def test_group_one_has_forty(self):
-        assert len(filter_group(_table_shaped_manifest(), 1)) == 40
-
-    def test_group_two_has_nineteen(self):
-        assert len(filter_group(_table_shaped_manifest(), 2)) == 19
-
-    def test_absent_group_yields_empty(self):
-        only_one = tuple(e for e in _table_shaped_manifest().entries if e.group == 1)
-        assert len(filter_group(LabeledDataset(only_one), 2)) == 0
-
-    def test_order_preserved(self):
-        manifest = _table_shaped_manifest()
-        filtered = filter_group(manifest, 2)
-        original_order = [e.sample_id for e in manifest.entries if e.group == 2]
-        assert [e.sample_id for e in filtered.entries] == original_order
-
-    def test_invalid_group_rejected(self):
-        with pytest.raises(ValueError):
-            filter_group(_table_shaped_manifest(), 3)
 
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -417,6 +395,22 @@ class TestGenerateSynthetic:
             SyntheticSpec(seed=1, per_class=4, width=2**15, height=2**13)
         with pytest.raises(ValueError, match=r"below 2\^31"):
             SyntheticSpec(seed=1, per_class=10**20, width=8, height=8)
+        # a non-integer field fails here, not later inside generate_synthetic
+        base = dict(seed=1, per_class=2, width=8, height=8, smoothing_radius=1)
+        for name, value in (
+            ("per_class", 2.5),
+            ("width", 8.5),
+            ("seed", 1.5),
+            ("smoothing_radius", 1.5),
+            ("seed", True),
+            ("height", np.float64(8.0)),
+            ("width", "8"),
+        ):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, not "):
+                SyntheticSpec(**{**base, name: value})
+        spec = SyntheticSpec(seed=np.uint64(3), per_class=np.int32(2), width=np.int64(8), height=8)
+        assert [type(v) for v in vars(spec).values()] == [int] * 5
+        assert spec == SyntheticSpec(seed=3, per_class=2, width=8, height=8)
 
     def test_smoothing_radius_beyond_image_blurs_to_the_mean(self):
         spec = SyntheticSpec(seed=3, per_class=2, width=8, height=8, smoothing_radius=8)

@@ -38,6 +38,19 @@ class TestLbpTransform:
         with pytest.raises(ValueError):
             lbp_transform(GrayImage(np.zeros((2, 5), dtype=np.uint8)))
 
+    def test_comparator_value_selects_its_rule(self):
+        # two gray levels, so about half of all neighbors tie with their center
+        img = GrayImage(np.random.default_rng(11).integers(0, 2, size=(9, 7)))
+        for cmp in Comparator:
+            assert np.array_equal(lbp_transform(img, cmp.value), lbp_transform(img, cmp))
+            assert np.array_equal(
+                extract_feature(img, FeatureKind.LBP, cmp.value),
+                extract_feature(img, FeatureKind.LBP, cmp),
+            )
+        assert not np.array_equal(lbp_transform(img, "gt"), lbp_transform(img, "ge"))
+        with pytest.raises(ValueError, match="bogus"):
+            lbp_transform(img, "bogus")
+
     def test_gray_shift_invariance(self):
         rng = np.random.default_rng(23)
         pixels = rng.integers(0, 200, size=(9, 9))

@@ -1,32 +1,48 @@
-"""Linear C-SVC trained by deterministic dual coordinate descent, every
-leave-one-out fold of a feature table at once.
+"""Linear C-SVC, every leave-one-out fold of a feature table solved exactly.
 
-Fold f holds out sample f. It maximizes the soft-margin dual over
-box-constrained variables alpha_j in [0, u_fj]: its bound u_fj is C, or
-0 for j = f, so the bound matrix is C off the diagonal and 0 on it.
-The folds of one table share the signed Gram matrix Q = (X X^T) o (y y^T)
-and keep their iterates as rows of a state matrix (alpha, 1). Samples are
-visited in fixed order with no shrinking or random permutation: step i
-sets each fold's alpha_i to clip((1 - sum_{j != i} Q_ij alpha_j) / Q_ii,
-0, u_fi) (Hsieh et al. 2008), the state's dot product with row i of a
-per-table step matrix (-Q_ij / Q_ii, 0 on the diagonal, then 1 / Q_ii),
-clipped to the fold's box. So a step is one per-fold dot product and
-two clamps, on per-coordinate views of the state and bounds built once
-per set of active folds. A row whose Q_ii is below the smallest normal
-float, so that 1 / Q_ii would overflow, has step row (0, ..., 0, C): its
-entries are below 1.5e-154 in size, so its gradient, -1 plus terms of
-that order times C |x_j|, is negative (exactly -1 on a zero row) and
-alpha_i = C is its optimum. The features are L1-normalised histograms,
-whose smallest non-zero entry squared is a normal float, so there only a
-zero row takes this step. After each pass G = alpha Q is formed:
-G[f, j] = y_j (w_f . x_j) is sample j's signed margin under fold f. With
-g = G - 1, a fold stops at the pass cap or once its largest projected
-gradient is within tolerance (Fan et al. 2008): g_j where alpha_j may
-fall (is above 0), -g_j where it may rise (is below its bound). A
-held-out variable, bound 0, can do neither and never counts. Dot products
-and G are taken one fold at a time, never as a 2-D matrix product, whose
-rounding depends on the batch: a fold rounds alike however many other
-folds are still iterating.
+Fold f holds out sample f. It minimizes the soft-margin dual
+1/2 a'Qa - 1'a over box-constrained variables alpha_j in [0, u_fj]: its
+bound u_fj is C, or 0 for j = f, so the bound matrix is C off the diagonal
+and 0 on it. The folds of one table share the signed Gram matrix
+Q = (X X^T) o (y y^T). G = alpha Q is formed one fold at a time, never as
+a 2-D matrix product, whose rounding depends on the batch: G[f, j] =
+y_j (w_f . x_j) is sample j's signed margin under fold f. With g = G - 1,
+a fold is optimal once its largest projected gradient is within tolerance
+(`projected_gradient`, Fan et al. 2008): g_j where alpha_j may fall (is
+above 0), -g_j where it may rise (is below its bound). A held-out
+variable, bound 0, can do neither and never counts.
+
+The folds are solved in three steps:
+
+1. One batched check at the box corner. Every fold is set to alpha = u
+   and checked at once. Folds within tolerance there are done; at C=1
+   every fold of the frozen set's sweep tables is.
+2. A warm-started primal active set for the rest (Nocedal & Wright 2006,
+   Algorithm 16.3). Each variable is free or held at a bound. The
+   minimiser over the free variables F, the bound ones B held, solves
+   Q_FF alpha_F = 1 - Q_FB alpha_B. If it lies in the box, alpha moves
+   there and the bound variable of largest violation is released; else
+   alpha steps toward it until a free variable meets its bound, which is
+   then held. The problem on every sample is solved first, from
+   alpha = C. Each fold starts from that solution with its held-out alpha
+   set to 0 ("alpha seeding", DeCoste & Wagstaff 2000).
+3. The final alpha from the final partition. A fold's alpha_F is the
+   solve of its final partition, so its bits depend on that partition
+   alone, not on the warm start or on other folds. One more projected-
+   gradient check of these folds sets `converged`.
+
+Q_FF is singular where free rows repeat, are 0 or outnumber the feature
+dimension. Then the solve fails, or returns rounding blown up along the
+null space, a step with (almost) no curvature. The step goes instead along
+the part of -g_F outside the range of Q_FF, a direction of linear descent,
+or, when there is none, along a null vector, to the nearest bound. A row
+whose Q_ii is below the smallest normal float (a zero row among them) has
+entries below 1.5e-154 in size, so its gradient, -1 plus terms of that
+order times C |x_j|, is negative: it stays at C, where every solve starts.
+`max_outer_iterations` caps a fold's KKT checks: the corner check, plus
+one per change of its free set. The all-sample solve has the same cap;
+stopping it early only gives a poorer warm start. A fold at the cap keeps
+its last feasible alpha.
 
 The bias of a fold is recovered from its training margins w.x_j: the mean
 of y_j - w.x_j over free support vectors, which may both fall and rise,
@@ -42,10 +58,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Curvature below this share of the largest diagonal entry of Q_FF counts as
+# 0: far above the rounding of a null direction (a few m eps) and far below
+# the frozen tables' smallest eigenvalue share (3e-7 at 300x225)
+_SINGULAR = 1e-12
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver settings; a numpy integer pass cap becomes `int`."""
+    """Solver settings; a numpy integer cap becomes `int`.
+
+    `max_outer_iterations` caps each fold's KKT checks (`FoldSolutions.passes`)
+    and `tolerance` is the KKT tolerance on the projected gradient.
+    """
 
     c: float = 1.0
     max_outer_iterations: int = 100
@@ -68,8 +93,8 @@ class FoldSolutions:
     alpha: np.ndarray  # (n, n); the diagonal, each fold's held-out alpha, stays 0
     margins: np.ndarray  # (n, n): w_f . x_j
     bias: np.ndarray
-    passes: np.ndarray
-    converged: np.ndarray  # the fold met its tolerance before the pass cap
+    passes: np.ndarray  # KKT checks: 1 at the box corner, plus 1 per free-set change
+    converged: np.ndarray  # the fold met its tolerance within the cap on passes
 
     @property
     def decisions(self) -> np.ndarray:
@@ -93,8 +118,8 @@ def solve_folds(
     labels: np.ndarray,
     cfg: SolverConfig = SolverConfig(),
 ) -> FoldSolutions:
-    """Run fixed-order coordinate descent on the duals of all n leave-one-out
-    folds of the (n, d) `features` at once: fold f trains on every row but f.
+    """Solve the duals of all n leave-one-out folds of the (n, d) `features`:
+    fold f trains on every row but f.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -109,57 +134,121 @@ def solve_folds(
         raise ValueError("features must be finite")
     q = (x @ x.T) * np.outer(y, y)
     c = cfg.c
-    diagonal = q.diagonal()
-    scaled = diagonal >= np.finfo(np.float64).tiny
-    # (alpha, 1) . step[i] is alpha_i before the clip
-    step = np.zeros((n, n + 1))
-    step[scaled, :n] = q[scaled] / -diagonal[scaled, None]
-    step[scaled, n] = 1.0 / diagonal[scaled]
-    step[np.arange(n), np.arange(n)] = 0.0
-    step[~scaled, n] = c
-    final_alpha = np.zeros((n, n))
-    final_grad = np.zeros((n, n))
-    passes = np.zeros(n, dtype=np.int64)
-    converged = np.zeros(n, dtype=bool)
-
     # each fold's bound on each alpha_i: C, or 0 for the sample it holds out
     bounds = np.full((n, n), c)
     np.fill_diagonal(bounds, 0.0)
-    # the folds still iterating, with their bounds and their state
-    active = np.arange(n)
-    fold_bounds = bounds
-    state = np.zeros((n, n + 1))  # (alpha, 1)
-    state[:, n] = 1.0
-    vecdot, maximum, minimum = np.vecdot, np.maximum, np.minimum
-    done_passes = 0
-    while active.size:
-        # (step row, alpha column, bound column) of each coordinate, as views
-        # made once for each set of active folds
-        alpha = state[:, :n]
-        steps = list(zip(step, alpha.T, fold_bounds.T.copy()))
-        v, zero = np.empty(active.size), np.zeros(active.size)
-        while True:
-            for row, column, bound in steps:
-                vecdot(state, row, out=v)
-                maximum(v, zero, out=v)
-                minimum(v, bound, out=column)
-            done_passes += 1
-            # G = alpha Q one fold at a time, so a fold rounds alike in any batch
-            grad = np.matmul(alpha[:, None, :], q)[:, 0, :]
-            met = projected_gradient(grad - 1.0, alpha, fold_bounds) <= cfg.tolerance
-            done = met | (done_passes >= cfg.max_outer_iterations)
-            if done.any():
-                break
-        rows = active[done]
-        final_alpha[rows] = alpha[done]
-        final_grad[rows] = grad[done]
-        passes[rows] = done_passes
-        converged[rows] = met[done]
-        left = ~done
-        active, state, fold_bounds = active[left], state[left], fold_bounds[left]
-    margins = final_grad * y
-    bias = _bias_from_margins(y, final_alpha, margins, bounds)
-    return FoldSolutions(final_alpha, margins, bias, passes, converged)
+    # every fold at its box corner; G = alpha Q one fold at a time, so a fold
+    # rounds alike in any batch
+    alpha = bounds.copy()
+    grad = np.matmul(alpha[:, None, :], q)[:, 0, :]
+    converged = projected_gradient(grad - 1.0, alpha, bounds) <= cfg.tolerance
+    passes = np.ones(n, dtype=np.int64)
+    rest = np.flatnonzero(~converged)
+    if rest.size:
+        changes = cfg.max_outer_iterations - 1
+        stays = q.diagonal() < np.finfo(np.float64).tiny
+        # the problem on every sample, from alpha = C, seeds each fold
+        seed, seed_free = np.full(n, c), np.zeros(n, dtype=bool)
+        _active_set(q, seed, np.full(n, c), seed_free, stays, changes, cfg.tolerance)
+        for f in rest:
+            start, free = seed.copy(), seed_free.copy()
+            start[f], free[f] = 0.0, False
+            passes[f] += _active_set(q, start, bounds[f], free, stays, changes, cfg.tolerance)
+            alpha[f] = start
+        grad[rest] = np.matmul(alpha[rest, None, :], q)[:, 0, :]
+        violation = projected_gradient(grad[rest] - 1.0, alpha[rest], bounds[rest])
+        converged[rest] = violation <= cfg.tolerance
+    margins = grad * y
+    bias = _bias_from_margins(y, alpha, margins, bounds)
+    return FoldSolutions(alpha, margins, bias, passes, converged)
+
+
+def _active_set(
+    q: np.ndarray,
+    alpha: np.ndarray,
+    upper: np.ndarray,
+    free: np.ndarray,
+    stays: np.ndarray,
+    changes: int,
+    tolerance: float,
+) -> int:
+    """Primal active set for min 1/2 a'Qa - 1'a over 0 <= a <= `upper`.
+
+    Moves the feasible `alpha`, whose variables outside `free` sit at a
+    bound, and `free` in place, with at most `changes` changes of the free
+    set; a `stays` variable never leaves its bound. Returns the number of
+    changes made.
+    """
+    used = 0
+    while True:
+        if free.any():
+            rows = q[free]
+            face = rows[:, free]
+            try:
+                target = np.linalg.solve(face, 1.0 - rows @ np.where(free, 0.0, alpha))
+            except np.linalg.LinAlgError:  # an exactly singular Q_FF
+                target = None
+            if target is None or not ((target >= 0.0) & (target <= upper[free])).all():
+                if used == changes:
+                    return used
+                direction = None if target is None else target - alpha[free]
+                if direction is None or _flat(face, direction):
+                    direction = _null_direction(face, rows @ alpha - 1.0)
+                _step_to_bound(alpha, upper, free, direction)
+                used += 1
+                continue
+            alpha[free] = target
+        # the minimiser over the free variables: release the bound variable
+        # whose gradient points furthest into the box
+        g = alpha @ q - 1.0
+        violation = np.maximum(g * (alpha > 0.0), -g * (alpha < upper))
+        violation[free | stays] = 0.0
+        j = int(violation.argmax())
+        if violation[j] <= tolerance or used == changes:
+            return used
+        free[j] = True
+        used += 1
+
+
+def _flat(face: np.ndarray, direction: np.ndarray) -> bool:
+    """Whether Q_FF has (almost) no curvature along `direction`: then a
+    solve of a singular Q_FF returned rounding blown up along its null
+    space, a step that need not even descend."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        curvature = direction @ face @ direction
+        return not curvature > _SINGULAR * face.diagonal().max() * (direction @ direction)
+
+
+def _null_direction(face: np.ndarray, gradient: np.ndarray) -> np.ndarray:
+    """A direction of the free variables along which Q_FF is 0 and the
+    objective does not rise: the part of -g_F outside the range of Q_FF,
+    which is linear descent, or, when that is 0, a null vector of Q_FF.
+    Eigenvalues below the `_SINGULAR` share count as 0, the smallest always.
+    """
+    values, vectors = np.linalg.eigh(face)
+    null = vectors[:, : max(1, int((values <= _SINGULAR * face.diagonal().max()).sum()))]
+    direction = null @ (null.T @ -gradient)
+    if not direction.any():
+        direction = null[:, 0]
+    return -direction if gradient @ direction > 0.0 else direction
+
+
+def _step_to_bound(
+    alpha: np.ndarray, upper: np.ndarray, free: np.ndarray, direction: np.ndarray
+) -> None:
+    """Move the free variables along `direction` until the first meets its
+    bound, which then leaves the free set."""
+    index = np.flatnonzero(free)
+    a, u = alpha[index], upper[index]
+    ratio = np.full(index.size, np.inf)
+    falls, rises = direction < 0.0, direction > 0.0
+    with np.errstate(over="ignore"):
+        ratio[falls] = a[falls] / -direction[falls]
+        ratio[rises] = (u[rises] - a[rises]) / direction[rises]
+    k = int(ratio.argmin())
+    alpha[index] = np.clip(a + ratio[k] * direction, 0.0, u)
+    alpha[index[k]] = u[k] if rises[k] else 0.0
+    free[index[k]] = False
 
 
 def _bias_from_margins(

@@ -7,8 +7,9 @@ Commands:
   synth    generate the seeded synthetic benchmark (images + manifest)
 
 Defaults reproduce the reference configuration: resolution 300x225,
-strict-greater comparator, C=1.0, 100 passes, tolerance 1e-6. All
-randomness flows from --seed; no command reads a clock or the environment.
+strict-greater comparator, C=1.0, 100 KKT checks per fold, KKT tolerance
+1e-6. All randomness flows from --seed; no command reads a clock or the
+environment.
 """
 
 from __future__ import annotations
@@ -140,13 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-iter",
         type=_int_range(1),
         default=cfg.max_outer_iterations,
-        help="maximum full passes over the samples",
+        help="maximum KKT checks per fold: 1 at the box corner, plus 1 per active-set change",
     )
     solver_flags.add_argument(
         "--tol",
         type=_positive_float,
         default=cfg.tolerance,
-        help="projected-gradient stopping tolerance",
+        help="KKT tolerance on the largest projected gradient",
     )
 
     output_flags = argparse.ArgumentParser(add_help=False)

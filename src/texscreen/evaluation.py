@@ -54,7 +54,8 @@ class EvalReport:
 
     `confusion` rows are true classes in order (normal, adulterated),
     columns the predicted classes in the same order. `unconverged` counts
-    folds whose solver stopped at the pass cap; reports do not render it.
+    folds that reached the cap on KKT checks (`max_outer_iterations`)
+    without meeting the tolerance; reports do not render it.
     """
 
     feature_kind: FeatureKind
@@ -181,6 +182,7 @@ def _loocv_reports(
             raise ValueError(f"entry {e.sample_id!r} has no decoded image")
     if any(res.width < 3 or res.height < 3 for res in resolutions):
         raise ValueError("evaluation resolutions must be at least 3x3")
+    cmp = Comparator(cmp)
     # holding out the only sample of its class leaves a one-class training set
     _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
     if (sizes == 1).any():

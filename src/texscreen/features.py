@@ -90,7 +90,7 @@ def extract_feature(
     CONCAT juxtaposes the LBP block (indices 0-255) and the GRAY block
     (256-511); each keeps its own normalization, so its total mass is two.
     """
-    kind = FeatureKind(kind)
+    kind, cmp = FeatureKind(kind), Comparator(cmp)
     if kind is FeatureKind.GRAY:
         return _histogram(img.pixels)
     lbp = _histogram(lbp_transform(img, cmp))

@@ -5,8 +5,9 @@ walks pixels one by one in pure Python, the PNM token reference walks bytes
 one by one, the separator searches enumerate candidate geometries
 exhaustively, and the LOOCV reference trains one fold at a time with the
 per-fold dual solver the batched one replaced. `solve_folds_reference` is
-the batched solver's earlier pass loop, which made fresh per-coordinate
-views at every step: the current loop must match it bit for bit.
+the batched coordinate-descent pass loop the exact solver replaced: run to
+a tight tolerance it is the exact solver's oracle, and a fold it ends at
+its box corner after one pass the exact solver must match bit for bit.
 `train_on_all` and `report_from_confusion` are no oracles: they call the
 library.
 """
@@ -271,8 +272,8 @@ def loocv_reference(features, labels, cfg):
 
 
 def solve_folds_reference(features, labels, held_out, cfg=SolverConfig()):
-    """`solve_folds` as it was before its per-coordinate views were built
-    once per active set: same step matrix, same clamps, same stop rule.
+    """`solve_folds` as fixed-order coordinate descent (Hsieh et al. 2008),
+    all folds in lockstep, each stopped by `projected_gradient`.
 
     Row f holds out sample `held_out[f]`, an index of n none. The result's
     `decisions` read the diagonal of the margins, so they are the held-out

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from conftest import FROZEN_SPEC
 from texscreen.classifier import SolverConfig
 from texscreen.cli import (
     EXIT_INVALID_DATA,
@@ -569,6 +570,21 @@ class TestPassCapWarning:
         err = self._run(tmp_path, capsys, argv)
         assert err.startswith("texscreen: warning: ")
         assert err.endswith(" of 36 folds stopped at the pass cap (--max-iter 1)\n")
+
+    @pytest.mark.parametrize("kind", ["lbp", "concat"])
+    def test_frozen_set_at_c_100_is_silent(self, tmp_path, capsys, kind):
+        # at the reference 300x225 and --c 100 every fold of the frozen set
+        # meets its tolerance within the default cap
+        spec = FROZEN_SPEC
+        synth = ["synth", "--out", str(tmp_path), "--seed", str(spec.seed)]
+        synth += ["--per-class", str(spec.per_class), "--width", str(spec.width)]
+        synth += ["--height", str(spec.height), "--smoothing-radius", str(spec.smoothing_radius)]
+        assert main(synth) == EXIT_OK
+        capsys.readouterr()
+        manifest, out = str(tmp_path / "manifest.csv"), str(tmp_path / "r.json")
+        code = main(["loocv", "--manifest", manifest, "--kind", kind, "--c", "100", "--out", out])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_default_runs_are_silent(self, tmp_path, capsys):
         loocv = ["loocv", "--width", "16", "--height", "12"]

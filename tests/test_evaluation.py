@@ -156,6 +156,22 @@ class TestLoocv:
             resolution_sweep(data, [Resolution(8, 8), Resolution(10, 10), Resolution(2, 2)])
         assert calls == []
 
+    def test_gray_run_checks_comparator_before_resizing(self, monkeypatch):
+        # GRAY never reads the comparator, yet a bad one is rejected as for LBP
+        calls = []
+
+        def counted(image, target):
+            calls.append(target)
+            return resize_bilinear(image, target)
+
+        monkeypatch.setattr("texscreen.evaluation.resize_bilinear", counted)
+        data = _tiny_dataset()
+        with pytest.raises(ValueError, match="bogus"):
+            loocv(data, FeatureKind.GRAY, Resolution(16, 12), "bogus")
+        assert calls == []
+        report = loocv(data, FeatureKind.GRAY, Resolution(16, 12), "gt")
+        assert report.n == len(data)
+
     def test_deterministic_reports(self):
         data = _tiny_dataset(n_pairs=3)
         r1 = loocv(data, FeatureKind.CONCAT, Resolution(8, 8))

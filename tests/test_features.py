@@ -50,6 +50,13 @@ class TestLbpTransform:
         assert not np.array_equal(lbp_transform(img, "gt"), lbp_transform(img, "ge"))
         with pytest.raises(ValueError, match="bogus"):
             lbp_transform(img, "bogus")
+        # GRAY reads no comparator but still rejects a bad one
+        for kind in FeatureKind:
+            with pytest.raises(ValueError, match="bogus"):
+                extract_feature(img, kind, "bogus")
+        assert np.array_equal(
+            extract_feature(img, FeatureKind.GRAY, "gt"), extract_feature(img, FeatureKind.GRAY)
+        )
 
     def test_gray_shift_invariance(self):
         rng = np.random.default_rng(23)

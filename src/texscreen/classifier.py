@@ -7,10 +7,10 @@ and 0 on it. The folds of one table share the signed Gram matrix
 Q = (X X^T) o (y y^T). G = alpha Q is formed one fold at a time, never as
 a 2-D matrix product, whose rounding depends on the batch: G[f, j] =
 y_j (w_f . x_j) is sample j's signed margin under fold f. With g = G - 1,
-a fold is optimal once its largest projected gradient is within tolerance
-(`projected_gradient`, Fan et al. 2008): g_j where alpha_j may fall (is
-above 0), -g_j where it may rise (is below its bound). A held-out
-variable, bound 0, can do neither and never counts.
+a fold is optimal once its largest projected gradient is within 1e-6
+(`_TOLERANCE`; `projected_gradient`, Fan et al. 2008): g_j where alpha_j
+may fall (is above 0), -g_j where it may rise (is below its bound). A
+held-out variable, bound 0, can do neither and never counts.
 
 The folds are solved in three steps:
 
@@ -58,6 +58,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# KKT tolerance on each fold's largest projected gradient. Every fold is
+# exact, so it only absorbs rounding: on 6 synthetic seeds at 64x48, 50x37
+# and 300x225, every kind, C up to 1e4, converged folds end at violations of
+# at most 9.6e-13, and a fold whose optimum is off its box corner fails the
+# test there by 1.0e-4 or more. The frozen set's GRAY folds at 64x48 and C=1e9 end
+# at up to 8.7e-8 (38 of 40 would not converge at 1e-9); at 0.5, 20 of its
+# 40 LBP folds at 300x225 and C=10 would keep a non-optimal corner.
+_TOLERANCE = 1e-6
 # Curvature below this share of the largest diagonal entry of Q_FF counts as
 # 0: far above the rounding of a null direction (a few m eps) and far below
 # the frozen tables' smallest eigenvalue share (3e-7 at 300x225)
@@ -66,20 +74,15 @@ _SINGULAR = 1e-12
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver settings; a numpy integer cap becomes `int`.
-
-    `max_outer_iterations` caps each fold's KKT checks (`FoldSolutions.passes`)
-    and `tolerance` is the KKT tolerance on the projected gradient.
-    """
+    """Solver settings; `max_outer_iterations` caps each fold's KKT checks
+    (`FoldSolutions.passes`), and a numpy integer cap becomes `int`."""
 
     c: float = 1.0
     max_outer_iterations: int = 100
-    tolerance: float = 1e-6
 
     def __post_init__(self):
-        for name, value in (("penalty c", self.c), ("tolerance", self.tolerance)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, not {value!r}")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"penalty c must be positive and finite, not {self.c!r}")
         cap = self.max_outer_iterations
         if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
             raise ValueError(f"max_outer_iterations must be positive and an integer, not {cap!r}")
@@ -93,7 +96,9 @@ class FoldSolutions:
     alpha: np.ndarray  # (n, n); the diagonal, each fold's held-out alpha, stays 0
     margins: np.ndarray  # (n, n): w_f . x_j
     bias: np.ndarray
-    passes: np.ndarray  # KKT checks: 1 at the box corner, plus 1 per free-set change
+    # KKT checks: 1 at the box corner, plus 1 per free-set change; a fold the
+    # warm start solves unchanged also reads 1, so only alpha shows the corner
+    passes: np.ndarray
     converged: np.ndarray  # the fold met its tolerance within the cap on passes
 
     @property
@@ -132,7 +137,10 @@ def solve_folds(
         raise ValueError("labels must be +1 or -1")
     if not np.isfinite(x).all():
         raise ValueError("features must be finite")
-    q = (x @ x.T) * np.outer(y, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = (x @ x.T) * np.outer(y, y)
+    if not np.isfinite(q).all():
+        raise ValueError("features are too large: their Gram matrix overflows")
     c = cfg.c
     # each fold's bound on each alpha_i: C, or 0 for the sample it holds out
     bounds = np.full((n, n), c)
@@ -141,7 +149,7 @@ def solve_folds(
     # rounds alike in any batch
     alpha = bounds.copy()
     grad = np.matmul(alpha[:, None, :], q)[:, 0, :]
-    converged = projected_gradient(grad - 1.0, alpha, bounds) <= cfg.tolerance
+    converged = projected_gradient(grad - 1.0, alpha, bounds) <= _TOLERANCE
     passes = np.ones(n, dtype=np.int64)
     rest = np.flatnonzero(~converged)
     if rest.size:
@@ -149,15 +157,15 @@ def solve_folds(
         stays = q.diagonal() < np.finfo(np.float64).tiny
         # the problem on every sample, from alpha = C, seeds each fold
         seed, seed_free = np.full(n, c), np.zeros(n, dtype=bool)
-        _active_set(q, seed, np.full(n, c), seed_free, stays, changes, cfg.tolerance)
+        _active_set(q, seed, np.full(n, c), seed_free, stays, changes)
         for f in rest:
             start, free = seed.copy(), seed_free.copy()
             start[f], free[f] = 0.0, False
-            passes[f] += _active_set(q, start, bounds[f], free, stays, changes, cfg.tolerance)
+            passes[f] += _active_set(q, start, bounds[f], free, stays, changes)
             alpha[f] = start
         grad[rest] = np.matmul(alpha[rest, None, :], q)[:, 0, :]
         violation = projected_gradient(grad[rest] - 1.0, alpha[rest], bounds[rest])
-        converged[rest] = violation <= cfg.tolerance
+        converged[rest] = violation <= _TOLERANCE
     margins = grad * y
     bias = _bias_from_margins(y, alpha, margins, bounds)
     return FoldSolutions(alpha, margins, bias, passes, converged)
@@ -170,7 +178,6 @@ def _active_set(
     free: np.ndarray,
     stays: np.ndarray,
     changes: int,
-    tolerance: float,
 ) -> int:
     """Primal active set for min 1/2 a'Qa - 1'a over 0 <= a <= `upper`.
 
@@ -204,7 +211,7 @@ def _active_set(
         violation = np.maximum(g * (alpha > 0.0), -g * (alpha < upper))
         violation[free | stays] = 0.0
         j = int(violation.argmax())
-        if violation[j] <= tolerance or used == changes:
+        if violation[j] <= _TOLERANCE or used == changes:
             return used
         free[j] = True
         used += 1

@@ -7,9 +7,9 @@ Commands:
   synth    generate the seeded synthetic benchmark (images + manifest)
 
 Defaults reproduce the reference configuration: resolution 300x225,
-strict-greater comparator, C=1.0, 100 KKT checks per fold, KKT tolerance
-1e-6. All randomness flows from --seed; no command reads a clock or the
-environment.
+strict-greater comparator, C=1.0, 100 KKT checks per fold. The KKT
+tolerance (1e-6) and the synthetic blur radius (2) are fixed. All
+randomness flows from --seed; no command reads a clock or the environment.
 """
 
 from __future__ import annotations
@@ -143,12 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=cfg.max_outer_iterations,
         help="maximum KKT checks per fold: 1 at the box corner, plus 1 per active-set change",
     )
-    solver_flags.add_argument(
-        "--tol",
-        type=_positive_float,
-        default=cfg.tolerance,
-        help="KKT tolerance on the largest projected gradient",
-    )
 
     output_flags = argparse.ArgumentParser(add_help=False)
     output_flags.add_argument("--out", type=_path, help="output path (default: stdout)")
@@ -207,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--per-class", type=_int_range(2), default=20, help="pairs to generate")
     p_synth.add_argument("--width", type=_int_range(8), default=64)
     p_synth.add_argument("--height", type=_int_range(8), default=48)
-    p_synth.add_argument("--smoothing-radius", type=_int_range(0), default=2)
 
     return parser
 
@@ -246,7 +239,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(c=args.c, max_outer_iterations=args.max_iter, tolerance=args.tol)
+    return SolverConfig(c=args.c, max_outer_iterations=args.max_iter)
 
 
 def _warn_pass_cap(reports: Sequence[EvalReport], max_iter: int) -> None:
@@ -294,13 +287,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec(
-        seed=args.seed,
-        per_class=args.per_class,
-        width=args.width,
-        height=args.height,
-        smoothing_radius=args.smoothing_radius,
-    )
+    spec = SyntheticSpec(args.seed, args.per_class, args.width, args.height)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, dataset = generate_synthetic(spec)

@@ -90,7 +90,6 @@ class SyntheticSpec:
     per_class: int
     width: int
     height: int
-    smoothing_radius: int = 2
 
     def __post_init__(self):
         for field in fields(self):
@@ -104,8 +103,6 @@ class SyntheticSpec:
             raise ValueError("per_class must be at least 2")
         if self.width < 8 or self.height < 8:
             raise ValueError("synthetic images must be at least 8x8")
-        if self.smoothing_radius < 0:
-            raise ValueError("smoothing_radius must be non-negative")
         if 2 * self.per_class * self.width * self.height >= 2**31:
             raise ValueError(
                 "2 * per_class * width * height must be below 2^31, "
@@ -113,6 +110,8 @@ class SyntheticSpec:
             )
 
 
+# the normal images' blur radius: every pinned synthetic byte is drawn at 2
+_SMOOTHING_RADIUS = 2
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 # Fisher-Yates indices are drawn this many at a time, so the draws' uint64
@@ -215,7 +214,6 @@ def _box_blur(pixels: np.ndarray, radius: int) -> np.ndarray:
     running sums. A mean of pixels lies in [0, 255], so the result is uint8.
     """
     h, w = pixels.shape
-    radius = min(radius, max(h, w))  # a wider window clips to the same one
     y0 = np.maximum(np.arange(h) - radius, 0)
     y1 = np.minimum(np.arange(h) + radius + 1, h)
     x0 = np.maximum(np.arange(w) - radius, 0)
@@ -308,7 +306,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[list[GrayImage], LabeledDat
     swaps = np.zeros(n, dtype=np.int32)  # swaps[i]: the cell step i swaps with
     for k in range(spec.per_class):
         raw = (rng.next_block(n) >> np.uint64(56)).astype(np.uint8)
-        normal_pixels = _box_blur(raw.reshape(spec.height, spec.width), spec.smoothing_radius)
+        normal_pixels = _box_blur(raw.reshape(spec.height, spec.width), _SMOOTHING_RADIUS)
 
         for top in range(n - 1, 0, -_SHUFFLE_BLOCK):
             low = max(top - _SHUFFLE_BLOCK, 0)  # this block draws for i = top .. low+1

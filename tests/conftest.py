@@ -23,6 +23,7 @@ import pytest
 
 import texscreen
 from texscreen.classifier import (
+    _TOLERANCE,
     FoldSolutions,
     SolverConfig,
     _bias_from_margins as fold_bias,
@@ -36,7 +37,7 @@ from texscreen.imagecore import PnmDecodeError
 
 # seed frozen after verifying the LBP-vs-GRAY separation it must achieve
 FROZEN_SEED = 1
-FROZEN_SPEC = SyntheticSpec(seed=FROZEN_SEED, per_class=20, width=64, height=48, smoothing_radius=2)
+FROZEN_SPEC = SyntheticSpec(seed=FROZEN_SEED, per_class=20, width=64, height=48)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -173,8 +174,9 @@ def fold_violations(labels, solution, c):
     return gradient_violations(gradient, solution.alpha, np.arange(len(labels)), c)
 
 
-def solve_dual(features, labels, cfg):
-    """Run fixed-order coordinate descent on the dual until convergence or cap."""
+def solve_dual(features, labels, cfg, tolerance):
+    """Run fixed-order coordinate descent on the dual until its largest
+    violation is within `tolerance` or the pass cap."""
     x = np.ascontiguousarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     n = x.shape[0]
@@ -205,7 +207,7 @@ def solve_dual(features, labels, cfg):
                 alpha[i] = new
         passes += 1
         max_violation = float(np.abs(projected_gradient(x, labels, alpha, w, c)).max())
-        if max_violation <= cfg.tolerance:
+        if max_violation <= tolerance:
             converged = True
             break
     return DualSolution(alpha, w, passes, converged, max_violation)
@@ -250,7 +252,7 @@ class ReferenceFold:
     decision: float
 
 
-def loocv_reference(features, labels, cfg):
+def loocv_reference(features, labels, cfg, tolerance=_TOLERANCE):
     """Per-fold LOOCV: train on every row but one with `solve_dual`, in turn.
 
     A decision value of exactly zero maps to +1, as in the package.
@@ -261,7 +263,7 @@ def loocv_reference(features, labels, cfg):
     for i in range(len(labels)):
         keep[i] = False
         x, y = features[keep], labels[keep]
-        solution = solve_dual(x, y, cfg)
+        solution = solve_dual(x, y, cfg, tolerance)
         bias = _bias_from_margins(x, y, solution.alpha, solution.weights, cfg.c)
         keep[i] = True
         decision = float(solution.weights @ features[i] + bias)
@@ -271,9 +273,10 @@ def loocv_reference(features, labels, cfg):
     return folds
 
 
-def solve_folds_reference(features, labels, held_out, cfg=SolverConfig()):
+def solve_folds_reference(features, labels, held_out, cfg=SolverConfig(), tolerance=_TOLERANCE):
     """`solve_folds` as fixed-order coordinate descent (Hsieh et al. 2008),
-    all folds in lockstep, each stopped by `projected_gradient`.
+    all folds in lockstep, each stopped once `projected_gradient` is within
+    `tolerance` (by default the one `solve_folds` stops at).
 
     Row f holds out sample `held_out[f]`, an index of n none. The result's
     `decisions` read the diagonal of the margins, so they are the held-out
@@ -310,7 +313,7 @@ def solve_folds_reference(features, labels, held_out, cfg=SolverConfig()):
             np.minimum(v, bound, out=column)
         done_passes += 1
         grad = np.matmul(alpha[:, None, :], q)[:, 0, :]
-        met = stop_value(grad - 1.0, alpha, upper.T) <= cfg.tolerance
+        met = stop_value(grad - 1.0, alpha, upper.T) <= tolerance
         done = met | (done_passes >= cfg.max_outer_iterations)
         if done.any():
             rows = active[done]

@@ -1,7 +1,7 @@
 import hashlib
 import random
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import texscreen.classifier
 from conftest import (
+    FROZEN_SPEC,
     best_linear_accuracy_2d,
     fold_violations,
     gradient_violations,
@@ -20,7 +21,8 @@ from conftest import (
     solve_folds_reference,
     train_on_all,
 )
-from texscreen.classifier import SolverConfig, projected_gradient, solve_folds
+from texscreen.classifier import _TOLERANCE, SolverConfig, projected_gradient, solve_folds
+from texscreen.dataset import generate_synthetic
 from texscreen.evaluation import _predicted_label, feature_tables
 from texscreen.features import FeatureKind
 from texscreen.imagecore import Resolution
@@ -29,8 +31,10 @@ XOR_POINTS = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
 XOR_LABELS = np.array([-1, -1, 1, 1])
 KINDS = (FeatureKind.LBP, FeatureKind.GRAY, FeatureKind.CONCAT)
 SOLUTION_FIELDS = ("alpha", "margins", "bias", "passes", "converged")
-# coordinate descent run to this tolerance is the oracle of the exact solver
-ORACLE = dict(tolerance=1e-9, max_outer_iterations=10**6)
+# coordinate descent run to this tolerance, with this cap, is the oracle of
+# the exact solver
+ORACLE_TOLERANCE = 1e-9
+ORACLE = dict(max_outer_iterations=10**6)
 
 
 def _decisions(model, points):
@@ -95,7 +99,12 @@ def frozen_oracle(synthetic_benchmark):
     y = np.array([e.label for e in synthetic_benchmark.entries])
     tables = _frozen_tables(synthetic_benchmark, (FeatureKind.LBP, FeatureKind.CONCAT))
     return y, {
-        (kind, c): (x, solve_folds_reference(x, y, np.arange(len(y)), SolverConfig(c=c, **ORACLE)))
+        (kind, c): (
+            x,
+            solve_folds_reference(
+                x, y, np.arange(len(y)), SolverConfig(c=c, **ORACLE), ORACLE_TOLERANCE
+            ),
+        )
         for kind, x in tables.items()
         for c in (1.0, 10.0)
     }
@@ -154,7 +163,7 @@ class TestSolver:
             sol = solve_folds(x, y, cfg)
             assert (sol.alpha >= 0.0).all() and (sol.alpha <= cfg.c).all()
             assert sol.converged.any()
-            assert (fold_violations(y, sol, cfg.c)[sol.converged] <= cfg.tolerance).all()
+            assert (fold_violations(y, sol, cfg.c)[sol.converged] <= _TOLERANCE).all()
 
     def test_objective_nondecreasing_across_passes(self):
         rng = np.random.default_rng(73)
@@ -209,6 +218,7 @@ class TestSolver:
             )
             assert np.allclose(base.decisions, scaled.decisions, atol=1e-12)
 
+    @pytest.mark.kernel_independent
     def test_fold_independent_of_batch(self, frozen_oracle):
         # a fold's alpha is the solve of its own final partition, so neither
         # the other folds nor the warm start move one bit of it; the fold is
@@ -218,7 +228,9 @@ class TestSolver:
         for c in (0.1, 1.0, 10.0):
             x, y = _random_problem(rng, 12, 4)
             cfg = SolverConfig(c=c)
-            ref = solve_folds_reference(x, y, np.arange(12), replace(cfg, **ORACLE))
+            ref = solve_folds_reference(
+                x, y, np.arange(12), replace(cfg, **ORACLE), ORACLE_TOLERANCE
+            )
             problems.append((x, y, cfg, ref))
         y, oracle = frozen_oracle
         x, ref = oracle[FeatureKind.LBP, 10.0]
@@ -226,7 +238,7 @@ class TestSolver:
         for x, y, cfg, ref in problems:
             sol = solve_folds(x, y, cfg)
             assert sol.converged.all()
-            assert (fold_violations(y, sol, cfg.c) <= cfg.tolerance).all()
+            assert (fold_violations(y, sol, cfg.c) <= _TOLERANCE).all()
             q = (x @ x.T) * np.outer(y, y)
             for k, alpha in enumerate(sol.alpha):
                 free = (alpha > 0.0) & (alpha < cfg.c)
@@ -245,6 +257,7 @@ class TestSolver:
         assert np.isfinite(sol.margins).all() and np.isfinite(sol.bias).all()
         assert (fold_violations(y, sol, 1.0)[sol.converged] <= 1e-6).all()
 
+    @pytest.mark.kernel_independent
     def test_subnormal_diagonal_takes_the_zero_row_step(self):
         # rows of 6e-155 have a subnormal Q_ii: they keep a zero row's
         # alpha = C in every fold training on them, and the folds end as
@@ -286,6 +299,7 @@ class TestSolver:
         got = projected_gradient(gradient, alpha, bounds)
         assert (got == gradient_violations(gradient, alpha, held_out, c)).all()
 
+    @pytest.mark.kernel_independent
     def test_stop_value_taken_once_per_pass(self, monkeypatch, synthetic_benchmark):
         # the benchmark cuts its segments at this module-level call: once for
         # every fold at its box corner, then once for the folds left
@@ -308,11 +322,12 @@ class TestSolver:
             calls.clear()
             solve_folds(x, y, cfg)
             corner_folds, corner_violation = calls[0]
-            lefts.append(int((corner_violation > cfg.tolerance).sum()))
+            lefts.append(int((corner_violation > _TOLERANCE).sum()))
             assert corner_folds == len(y)
             assert [folds for folds, _ in calls[1:]] == ([lefts[-1]] if lefts[-1] else [])
         assert lefts[0] == 0 and 0 < lefts[1] < 12 and lefts[-1] == len(y)
 
+    @pytest.mark.kernel_independent
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_bytes_match_earlier_pass_loop(self, data):
@@ -338,6 +353,7 @@ class TestSolver:
             got_rows, want_rows = getattr(got, field)[corner], getattr(want, field)[corner]
             assert got_rows.tobytes() == want_rows.tobytes(), field
 
+    @pytest.mark.kernel_independent
     def test_frozen_solutions_pinned(self, frozen_oracle):
         # each fold's partition at the loocv-solver settings (alpha at 0, at
         # C or free), and its decision to 1e-9: kernel rounding moves the
@@ -352,6 +368,33 @@ class TestSolver:
             assert hashlib.sha256(codes.tobytes()).hexdigest() == digest
             assert np.abs(sol.decisions - decisions).max() <= 1e-9
             assert sol.converged.all()
+
+    @pytest.mark.parametrize(
+        "seed, kind, target, c, leaving",
+        [
+            # converged folds end at violations up to 8.7e-8 here: below 1e-9,
+            # 38 of them would stop unconverged
+            (1, FeatureKind.GRAY, Resolution(64, 48), 1e9, 40),
+            # one fold leaves its corner at a corner violation of 1.006e-4:
+            # above that, it would be accepted at a non-optimal corner
+            (62, FeatureKind.CONCAT, Resolution(300, 225), 10.0, 38),
+            # 20 folds leave their corner, each after one KKT check
+            (1, FeatureKind.LBP, Resolution(300, 225), 10.0, 20),
+        ],
+        ids=["gray-64x48-c1e9", "seed62-concat-300x225-c10", "lbp-300x225-c10"],
+    )
+    def test_tolerance_bracket(self, seed, kind, target, c, leaving):
+        # the KKT tolerance sits between rounding and the smallest real
+        # violation; passes == 1 does not mean a fold ended at its corner
+        _, dataset = generate_synthetic(replace(FROZEN_SPEC, seed=seed))
+        y = np.array([e.label for e in dataset.entries])
+        x = feature_tables([e.image for e in dataset.entries], (kind,), target)[kind]
+        sol = solve_folds(x, y, SolverConfig(c=c))
+        left = (sol.alpha != _bounds(len(y), c)).any(axis=1)
+        assert sol.converged.all()
+        assert left.sum() == leaving
+        if kind is FeatureKind.LBP:
+            assert (sol.passes == 1).all()
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -368,11 +411,12 @@ class TestSolver:
         assert (sol.alpha[~training] == 0.0).all()
         # a zero row's gradient is always -1: every fold training on it holds alpha = C
         assert (sol.alpha[training & ~x.any(axis=1)] == cfg.c).all()
-        assert (fold_violations(y, sol, cfg.c)[sol.converged] <= cfg.tolerance).all()
+        assert (fold_violations(y, sol, cfg.c)[sol.converged] <= _TOLERANCE).all()
         assert ((sol.passes >= 1) & (sol.passes <= cfg.max_outer_iterations)).all()
         assert sol.converged[sol.passes < cfg.max_outer_iterations].all()
 
 
+@pytest.mark.kernel_independent
 class TestPerFoldReference:
     """The batched folds against the per-fold solver they replace."""
 
@@ -510,6 +554,8 @@ class TestSolverInputs:
             ([[1.0], [np.inf], [3.0]], [1, -1, 1], "features must be finite"),
             ([[1.0]], [1], "at least 2 samples, not 1"),
             (np.zeros((0, 3)), [], "at least 2 samples, not 0"),
+            ([[1e200], [2e200], [-1e200]], [1, 1, -1], "their Gram matrix overflows"),
+            ([[1e200, 1e200], [1e200, -1e200]], [1, -1], "their Gram matrix overflows"),
         ],
     )
     def test_rejects_unsolvable_input(self, features, labels, message):
@@ -528,11 +574,8 @@ class TestSolverConfig:
             {"c": 0.0},
             {"c": -1.0},
             {"max_outer_iterations": 0},
-            {"tolerance": 0.0},
             {"c": float("nan")},
-            {"tolerance": float("nan")},
             {"c": float("inf")},
-            {"tolerance": float("inf")},
             {"c": np.float64("-inf")},
             {"max_outer_iterations": 2.5},
             {"max_outer_iterations": 3.0},
@@ -544,7 +587,7 @@ class TestSolverConfig:
         ],
     )
     def test_rejects_non_positive_fields(self, kwargs):
-        # also infinite c and tolerance, and non-integral or bool pass caps
+        # also infinite c, and non-integral or bool pass caps
         [(name, value)] = kwargs.items()
         name = "penalty c" if name == "c" else name
         message = f"^{name} must be positive and .*, not {re.escape(repr(value))}$"
@@ -562,4 +605,5 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.c == 1.0
         assert cfg.max_outer_iterations == 100
-        assert cfg.tolerance == 1e-6
+        # the KKT tolerance is a constant, not a setting
+        assert [f.name for f in fields(SolverConfig)] == ["c", "max_outer_iterations"]

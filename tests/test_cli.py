@@ -42,8 +42,6 @@ def _synth(tmp_path, per_class=3, width=16, height=12, seed=5):
             str(width),
             "--height",
             str(height),
-            "--smoothing-radius",
-            "1",
         ]
     )
     assert code == EXIT_OK
@@ -446,7 +444,6 @@ class TestFailurePaths:
         [
             ["loocv", "--manifest", "x.csv", "--c", "-1"],
             ["loocv", "--manifest", "x.csv", "--c", "nan"],
-            ["loocv", "--manifest", "x.csv", "--tol", "0"],
             ["sweep", "--manifest", "x.csv", "--max-iter", "0"],
             ["loocv", "--manifest", "x.csv", "--width", "2", "--height", "2"],
             ["sweep", "--manifest", "x.csv", "--resolutions", "50x37,2x2"],
@@ -470,6 +467,24 @@ class TestFailurePaths:
             main(argv)
         assert err.value.code == EXIT_USAGE
         assert "error: argument" in capsys.readouterr().err
+        assert not (tmp_path / "unused").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["loocv", "--manifest", "x.csv", "--tol", "1e-6"],
+            ["sweep", "--manifest", "x.csv", "--tol", "1e-6"],
+            ["synth", "--out", "unused", "--smoothing-radius", "2"],
+        ],
+        ids=lambda argv: " ".join(argv[::3]),
+    )
+    def test_fixed_settings_are_no_flags(self, argv, tmp_path, monkeypatch, capsys):
+        # the KKT tolerance and the blur radius each have one safe value
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {argv[3]} {argv[4]}" in capsys.readouterr().err
         assert not (tmp_path / "unused").exists()
 
     def test_oversized_synth_exits_processing_before_drawing(self, tmp_path, capsys):
@@ -578,7 +593,7 @@ class TestPassCapWarning:
         spec = FROZEN_SPEC
         synth = ["synth", "--out", str(tmp_path), "--seed", str(spec.seed)]
         synth += ["--per-class", str(spec.per_class), "--width", str(spec.width)]
-        synth += ["--height", str(spec.height), "--smoothing-radius", str(spec.smoothing_radius)]
+        synth += ["--height", str(spec.height)]
         assert main(synth) == EXIT_OK
         capsys.readouterr()
         manifest, out = str(tmp_path / "manifest.csv"), str(tmp_path / "r.json")
@@ -674,19 +689,17 @@ _FLAG_VALUES = {
     ),
     "--c": _mostly(["1", "0.01", "100"], ["0", "-1", "nan", "inf", "x"]),
     "--max-iter": _mostly(["1", "3", "99999999999999999999"], ["0", "-2", "1.5"]),
-    "--tol": _mostly(["1e-6", "0.5"], ["0", "-1", "nan"]),
     "--format": _mostly(["json", "table"], ["xml"]),
     "--decimal-comma": st.just(None),
     "--seed": _mostly(["0", "1", str(2**64 - 1)], ["-1", str(2**64), "x"]),
     "--per-class": _mostly(["2", "3"], ["1", "x"]),
-    "--smoothing-radius": _mostly(["0", "1", "99999999999999999999"], ["-1"]),
 }
-_SOLVER_FLAGS = ["--c", "--max-iter", "--tol", "--format", "--decimal-comma"]
+_SOLVER_FLAGS = ["--c", "--max-iter", "--format", "--decimal-comma"]
 _COMMAND_FLAGS = {
     "extract": ["--group", "--comparator", "--kind", "--width", "--height"],
     "loocv": ["--group", "--comparator", "--kind", "--width", "--height", *_SOLVER_FLAGS],
     "sweep": ["--group", "--comparator", "--resolutions", *_SOLVER_FLAGS],
-    "synth": ["--seed", "--per-class", "--width", "--height", "--smoothing-radius"],
+    "synth": ["--seed", "--per-class", "--width", "--height"],
 }
 
 

@@ -35,14 +35,12 @@ Q_FF is singular where free rows repeat, are 0 or outnumber the feature
 dimension. Then the solve fails, or returns rounding blown up along the
 null space, a step with (almost) no curvature. The step goes instead along
 the part of -g_F outside the range of Q_FF, a direction of linear descent,
-or, when there is none, along a null vector, to the nearest bound. A row
-whose Q_ii is below the smallest normal float (a zero row among them) has
-entries below 1.5e-154 in size, so its gradient, -1 plus terms of that
-order times C |x_j|, is negative: it stays at C, where every solve starts.
-`max_outer_iterations` caps a fold's KKT checks: the corner check, plus
-one per change of its free set. The all-sample solve has the same cap;
-stopping it early only gives a poorer warm start. A fold at the cap keeps
-its last feasible alpha.
+or, when there is none, along a null vector, to the nearest bound. C
+times each row sum of |Q| bounds every gradient, so features whose bound
+overflows are rejected. `max_outer_iterations` caps a fold's KKT checks:
+the corner check, plus one per change of its free set. The all-sample
+solve has the same cap; stopping it early only gives a poorer warm start.
+A fold at the cap keeps its last feasible alpha.
 
 The bias of a fold is recovered from its training margins w.x_j: the mean
 of y_j - w.x_j over free support vectors, which may both fall and rise,
@@ -93,7 +91,7 @@ class SolverConfig:
 class FoldSolutions:
     """Every fold at termination; row f trains on all samples but sample f."""
 
-    alpha: np.ndarray  # (n, n); the diagonal, each fold's held-out alpha, stays 0
+    alpha: np.ndarray  # (n, n); the diagonal, each fold's held-out alpha, is 0
     margins: np.ndarray  # (n, n): w_f . x_j
     bias: np.ndarray
     # KKT checks: 1 at the box corner, plus 1 per free-set change; a fold the
@@ -137,11 +135,11 @@ def solve_folds(
         raise ValueError("labels must be +1 or -1")
     if not np.isfinite(x).all():
         raise ValueError("features must be finite")
+    c = cfg.c
     with np.errstate(over="ignore", invalid="ignore"):
         q = (x @ x.T) * np.outer(y, y)
-    if not np.isfinite(q).all():
-        raise ValueError("features are too large: their Gram matrix overflows")
-    c = cfg.c
+        if not np.isfinite(c * np.abs(q).sum(axis=1)).all():
+            raise ValueError("features are too large: their Gram matrix overflows")
     # each fold's bound on each alpha_i: C, or 0 for the sample it holds out
     bounds = np.full((n, n), c)
     np.fill_diagonal(bounds, 0.0)
@@ -154,14 +152,13 @@ def solve_folds(
     rest = np.flatnonzero(~converged)
     if rest.size:
         changes = cfg.max_outer_iterations - 1
-        stays = q.diagonal() < np.finfo(np.float64).tiny
         # the problem on every sample, from alpha = C, seeds each fold
         seed, seed_free = np.full(n, c), np.zeros(n, dtype=bool)
-        _active_set(q, seed, np.full(n, c), seed_free, stays, changes)
+        _active_set(q, seed, np.full(n, c), seed_free, changes)
         for f in rest:
             start, free = seed.copy(), seed_free.copy()
             start[f], free[f] = 0.0, False
-            passes[f] += _active_set(q, start, bounds[f], free, stays, changes)
+            passes[f] += _active_set(q, start, bounds[f], free, changes)
             alpha[f] = start
         grad[rest] = np.matmul(alpha[rest, None, :], q)[:, 0, :]
         violation = projected_gradient(grad[rest] - 1.0, alpha[rest], bounds[rest])
@@ -176,15 +173,13 @@ def _active_set(
     alpha: np.ndarray,
     upper: np.ndarray,
     free: np.ndarray,
-    stays: np.ndarray,
     changes: int,
 ) -> int:
     """Primal active set for min 1/2 a'Qa - 1'a over 0 <= a <= `upper`.
 
     Moves the feasible `alpha`, whose variables outside `free` sit at a
     bound, and `free` in place, with at most `changes` changes of the free
-    set; a `stays` variable never leaves its bound. Returns the number of
-    changes made.
+    set. Returns the number of changes made.
     """
     used = 0
     while True:
@@ -209,7 +204,7 @@ def _active_set(
         # whose gradient points furthest into the box
         g = alpha @ q - 1.0
         violation = np.maximum(g * (alpha > 0.0), -g * (alpha < upper))
-        violation[free | stays] = 0.0
+        violation[free] = 0.0
         j = int(violation.argmax())
         if violation[j] <= _TOLERANCE or used == changes:
             return used
@@ -237,6 +232,9 @@ def _null_direction(face: np.ndarray, gradient: np.ndarray) -> np.ndarray:
     direction = null @ (null.T @ -gradient)
     if not direction.any():
         direction = null[:, 0]
+    # a power of 2 takes it to a max-norm in [0.5, 1), where the sign test
+    # cannot overflow; the step uses it only up to scale and rounds alike
+    direction = np.ldexp(direction, -np.frexp(np.abs(direction).max())[1])
     return -direction if gradient @ direction > 0.0 else direction
 
 

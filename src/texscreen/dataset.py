@@ -60,12 +60,14 @@ class DatasetEntry:
     path: str = ""  # where the image is listed, relative to its manifest
 
     def __post_init__(self):
-        if not self.sample_id:
-            raise ValueError("sample id must be non-empty")
-        if self.label not in LABEL_NAMES:
-            raise ValueError("label must be +1 or -1")
-        if self.group not in (1, 2):
-            raise ValueError("group must be 1 or 2")
+        if not isinstance(self.sample_id, str) or not self.sample_id:
+            raise ValueError(f"sample id must be a non-empty str, not {self.sample_id!r}")
+        for name, allowed, rule in (("label", (1, -1), "+1 or -1"), ("group", (1, 2), "1 or 2")):
+            value = getattr(self, name)
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not integer or value not in allowed:
+                raise ValueError(f"{name} must be {rule}, not {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 import hashlib
 import random
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -108,6 +109,20 @@ def frozen_oracle(synthetic_benchmark):
         for kind, x in tables.items()
         for c in (1.0, 10.0)
     }
+
+
+@st.composite
+def _scaled_tables(draw):
+    """Finite features whose rows range from 1e-160 to 1e154 in size, with
+    zero and duplicate rows, any labels and C from 1e-3 to 1e6."""
+    n = draw(st.integers(2, 8), label="n")
+    d = draw(st.integers(1, 4), label="d")
+    rows = draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-1.0, 1.0)), label="rows")
+    scale = st.just(0.0) | st.floats(-160.0, 154.0).map(lambda e: 10.0**e)
+    rows *= np.array(draw(st.lists(scale, min_size=n, max_size=n), label="scale"))[:, None]
+    x = rows[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="which")]
+    y = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n), label="y"))
+    return x, y, draw(st.floats(-3.0, 6.0).map(lambda e: 10.0**e), label="c")
 
 
 def _random_problem(rng, n, d):
@@ -561,6 +576,26 @@ class TestSolverInputs:
     def test_rejects_unsolvable_input(self, features, labels, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             solve_folds(features, labels)
+
+    @pytest.mark.kernel_independent
+    @settings(max_examples=300, deadline=None)
+    @given(_scaled_tables())
+    @example((np.array([[0.0], [3e99], [7e99], [-1e100]]), np.array([-1, 1, -1, 1]), 1.0))
+    @example((np.array([[1e153], [2e153], [-1e153]]), np.array([1, 1, -1]), 1e10))
+    def test_any_scale_solves_or_rejects_without_warning(self, table):
+        # the overflow check at the input is the solver's one scale rule: past
+        # it, no floating-point warning, every alpha in its box, finite decisions
+        x, y, c = table
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                sol = solve_folds(x, y, SolverConfig(c=c))
+            except ValueError as err:
+                assert "their Gram matrix overflows" in str(err)
+                return
+        bounds = np.where(np.eye(len(y), dtype=bool), 0.0, c)
+        assert ((sol.alpha >= 0.0) & (sol.alpha <= bounds)).all()
+        assert np.isfinite(sol.decisions).all()
 
     def test_two_samples_solve(self):
         sol = solve_folds([[0.0], [1.0]], [-1, 1])

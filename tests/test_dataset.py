@@ -416,6 +416,23 @@ class TestManifestTypes:
                 DatasetEntry("a", image, 0, 1, "x.pgm")
             with pytest.raises(ValueError, match="group"):
                 DatasetEntry("a", image, 1, 3, "x.pgm")
+            # bools and floats equal to a valid value would be written as
+            # `True` or `1.0`, which load_manifest rejects
+            for field, label, group in (
+                ("group", 1, 1.0),
+                ("group", 1, True),
+                ("label", True, 1),
+                ("label", 1.0, 1),
+                ("label", np.float64(-1.0), 2),
+            ):
+                with pytest.raises(ValueError, match=f"^{field} must be "):
+                    DatasetEntry("a", image, label, group, "a.pgm")
+            for sample_id in (1, None, b"a", ""):
+                with pytest.raises(ValueError, match="^sample id must be a non-empty str"):
+                    DatasetEntry(sample_id, image, 1, 1, "a.pgm")
+        entry = DatasetEntry("a", img, np.int64(-1), np.int32(2))
+        assert (entry.label, entry.group) == (-1, 2)
+        assert type(entry.label) is int and type(entry.group) is int
         assert DatasetEntry("a", img, 1, 2).path == ""
 
     def test_manifest_rejects_duplicate_ids(self):

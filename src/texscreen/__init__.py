@@ -20,7 +20,6 @@ from .evaluation import (
     resolution_sweep,
 )
 from .features import (
-    Comparator,
     FeatureKind,
     extract_feature,
     format_feature,
@@ -38,7 +37,6 @@ from .imagecore import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Comparator",
     "DEFAULT_RESOLUTION",
     "DEFAULT_SWEEP_RESOLUTIONS",
     "DatasetEntry",

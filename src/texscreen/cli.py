@@ -7,7 +7,7 @@ Commands:
   synth    generate the seeded synthetic benchmark (images + manifest)
 
 Defaults reproduce the reference configuration: resolution 300x225,
-strict-greater comparator, C=1.0, 100 KKT checks per fold. The KKT
+C=1.0, 100 KKT checks per fold. The strict-greater LBP tie rule, the KKT
 tolerance (1e-6) and the synthetic blur radius (2) are fixed. All
 randomness flows from --seed; no command reads a clock or the environment.
 """
@@ -42,7 +42,7 @@ from .evaluation import (
     sweep_to_json,
     sweep_to_table,
 )
-from .features import Comparator, FeatureKind, format_feature
+from .features import FeatureKind, format_feature
 from .imagecore import PnmDecodeError, Resolution, decode_image, encode_pgm
 
 EXIT_OK = 0
@@ -124,12 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     manifest_flags.add_argument("--manifest", type=_path, required=True, help="manifest csv path")
     manifest_flags.add_argument(
         "--group", choices=("1", "2", "all"), default="all", help="group filter"
-    )
-    manifest_flags.add_argument(
-        "--comparator",
-        choices=sorted(c.value for c in Comparator),
-        default="gt",
-        help="neighbor-vs-center tie rule: gt (strict) or ge",
     )
 
     solver_flags = argparse.ArgumentParser(add_help=False)
@@ -228,12 +222,8 @@ def _write_text(out: str | None, text: str) -> None:
 def _cmd_extract(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.manifest, args.group)
     kind = FeatureKind(args.kind)
-    table = feature_tables(
-        [e.image for e in dataset.entries],
-        (kind,),
-        Resolution(args.width, args.height),
-        Comparator(args.comparator),
-    )[kind]
+    images = [e.image for e in dataset.entries]
+    table = feature_tables(images, (kind,), Resolution(args.width, args.height))[kind]
     _write_text(args.out, "".join(format_feature(kind, row) + "\n" for row in table))
     return EXIT_OK
 
@@ -256,11 +246,7 @@ def _warn_pass_cap(reports: Sequence[EvalReport], max_iter: int) -> None:
 def _cmd_loocv(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.manifest, args.group)
     report = loocv(
-        dataset,
-        FeatureKind(args.kind),
-        Resolution(args.width, args.height),
-        Comparator(args.comparator),
-        _solver_config(args),
+        dataset, FeatureKind(args.kind), Resolution(args.width, args.height), _solver_config(args)
     )
     if args.format == "json":
         text = report_to_json(report, args.decimal_comma)
@@ -274,9 +260,7 @@ def _cmd_loocv(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.manifest, args.group)
     resolutions = args.resolutions if args.resolutions else DEFAULT_SWEEP_RESOLUTIONS
-    sweep = resolution_sweep(
-        dataset, resolutions, Comparator(args.comparator), _solver_config(args)
-    )
+    sweep = resolution_sweep(dataset, resolutions, _solver_config(args))
     if args.format == "json":
         text = sweep_to_json(sweep, args.decimal_comma)
     else:

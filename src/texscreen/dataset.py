@@ -200,11 +200,17 @@ def load_manifest(data: bytes | str) -> LabeledDataset:
 
 def serialize_manifest(dataset: LabeledDataset) -> str:
     """Render manifest text; load_manifest(serialize_manifest(d)) == d when
-    d's entries carry no image."""
+    d's entries carry no image. An entry with an empty path, a NUL in its
+    path or a CR or LF (which end a line) in its id or path raises
+    ValueError."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(MANIFEST_HEADER)
     for e in dataset.entries:
+        if not e.path or "\0" in e.path or _LINE_BREAK.search(e.sample_id + e.path):
+            raise ValueError(
+                f"entry {e.sample_id!r} cannot be written: empty path, NUL in path, or CR/LF"
+            )
         writer.writerow([e.sample_id, e.path, LABEL_NAMES[e.label], str(e.group)])
     return buf.getvalue()
 

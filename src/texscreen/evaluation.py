@@ -24,7 +24,7 @@ import numpy as np
 
 from .classifier import SolverConfig, solve_folds
 from .dataset import LABEL_ADULTERATED, LABEL_NORMAL, LabeledDataset
-from .features import Comparator, FeatureKind, extract_feature
+from .features import FeatureKind, extract_feature
 from .imagecore import GrayImage, Resolution, resize_bilinear
 
 # 4:3 sweep grid from 50x37 up to the default working resolution 300x225
@@ -95,7 +95,6 @@ def feature_tables(
     images: Sequence[GrayImage],
     kinds: Sequence[FeatureKind],
     target: Resolution,
-    cmp: Comparator = Comparator.STRICT_GREATER,
 ) -> dict[FeatureKind, np.ndarray]:
     """Per requested kind, the (n, d) matrix whose row i is the feature of
     `images[i]` resized to `target`.
@@ -112,7 +111,7 @@ def feature_tables(
     for i, image in enumerate(images):
         resized = resize_bilinear(image, target)
         for kind, table in base.items():
-            table[i] = extract_feature(resized, kind, cmp)
+            table[i] = extract_feature(resized, kind)
     if FeatureKind.CONCAT in kinds:
         base[FeatureKind.CONCAT] = np.hstack([base[FeatureKind.LBP], base[FeatureKind.GRAY]])
     return {kind: base[kind] for kind in kinds}
@@ -157,7 +156,6 @@ def _loocv_reports(
     data: LabeledDataset,
     resolutions: Sequence[Resolution],
     kinds: Sequence[FeatureKind],
-    cmp: Comparator,
     cfg: SolverConfig = SolverConfig(),
 ) -> dict[Resolution, dict[FeatureKind, EvalReport]]:
     """Each resolution's leave-one-out reports of each kind, in request order.
@@ -182,7 +180,6 @@ def _loocv_reports(
             raise ValueError(f"entry {e.sample_id!r} has no decoded image")
     if any(res.width < 3 or res.height < 3 for res in resolutions):
         raise ValueError("evaluation resolutions must be at least 3x3")
-    cmp = Comparator(cmp)
     # holding out the only sample of its class leaves a one-class training set
     _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
     if (sizes == 1).any():
@@ -195,7 +192,7 @@ def _loocv_reports(
     sweep = {}
     for res in resolutions:
         reports = sweep[res] = {}
-        for kind, table in feature_tables(images, kinds, res, cmp).items():
+        for kind, table in feature_tables(images, kinds, res).items():
             solution = solve_folds(table, labels, cfg)
             reports[kind] = _report(data, labels, kind, solution.decisions, solution.converged)
     return sweep
@@ -205,18 +202,16 @@ def loocv(
     data: LabeledDataset,
     kind: FeatureKind,
     target: Resolution = DEFAULT_RESOLUTION,
-    cmp: Comparator = Comparator.STRICT_GREATER,
     cfg: SolverConfig = SolverConfig(),
 ) -> EvalReport:
     """Leave-one-out cross-validation at one resolution and feature kind."""
     kind = FeatureKind(kind)
-    return _loocv_reports(data, (target,), (kind,), cmp, cfg)[target][kind]
+    return _loocv_reports(data, (target,), (kind,), cfg)[target][kind]
 
 
 def resolution_sweep(
     data: LabeledDataset,
     resolutions: Sequence[Resolution] = DEFAULT_SWEEP_RESOLUTIONS,
-    cmp: Comparator = Comparator.STRICT_GREATER,
     cfg: SolverConfig = SolverConfig(),
 ) -> dict[Resolution, dict[FeatureKind, EvalReport]]:
     """Each resolution's leave-one-out reports of all three feature kinds,
@@ -225,7 +220,7 @@ def resolution_sweep(
     Each (resolution, image) pair is resized and histogrammed once; each
     kind's table of the row then has all its folds solved together.
     """
-    return _loocv_reports(data, resolutions, SWEEP_KINDS, cmp, cfg)
+    return _loocv_reports(data, resolutions, SWEEP_KINDS, cfg)
 
 
 def _class_block(correct: int, total: int, decimal_comma: bool) -> dict:

@@ -111,12 +111,13 @@ def pnm_read_token(data, pos, what):
     return data[start:pos], start, pos
 
 
-def lbp_reference(pixels, strict=True):
+def lbp_reference(pixels):
     """Bit-by-bit LBP evaluation over plain Python lists.
 
     Weight 2^i goes to neighbor i counted counterclockwise from W, which
     places NW on the top bit: W=1, SW=2, S=4, SE=8, E=16, NE=32, N=64,
-    NW=128.
+    NW=128. A bit is set when the neighbor is strictly greater than the
+    center.
     """
     offsets = [(0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1)]
     height, width = len(pixels), len(pixels[0])
@@ -128,8 +129,7 @@ def lbp_reference(pixels, strict=True):
             code = 0
             for i, (dr, dc) in enumerate(offsets):
                 neighbor = pixels[r + dr][c + dc]
-                hit = neighbor > center if strict else neighbor >= center
-                code += (1 << i) * int(hit)
+                code += (1 << i) * int(neighbor > center)
             row.append(code)
         out.append(row)
     return out

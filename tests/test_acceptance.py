@@ -27,7 +27,7 @@ from texscreen.evaluation import (
     sweep_to_json,
     sweep_to_table,
 )
-from texscreen.features import Comparator, FeatureKind, extract_feature, lbp_transform
+from texscreen.features import FeatureKind, extract_feature, lbp_transform
 from texscreen.imagecore import GrayImage, Resolution, decode_image, encode_pgm, resize_bilinear
 
 
@@ -48,8 +48,7 @@ def test_criterion_1_report_arithmetic():
 def test_criterion_2_lbp_kernel_suite():
     started = time.perf_counter()
     constant = GrayImage(np.full((8, 8), 50))
-    assert (lbp_transform(constant, Comparator.STRICT_GREATER) == 0).all()
-    assert (lbp_transform(constant, Comparator.GREATER_EQUAL) == 255).all()
+    assert (lbp_transform(constant) == 0).all()
 
     hand = GrayImage([[6, 5, 2], [7, 5, 1], [9, 8, 7]])
     assert lbp_transform(hand).tolist() == [[143]]
@@ -71,10 +70,7 @@ def test_criterion_2_lbp_kernel_suite():
 
     for _ in range(100):
         pixels = rng.integers(0, 256, size=(5, 5))
-        assert (
-            lbp_transform(GrayImage(pixels)).tolist()
-            == lbp_reference(pixels.tolist(), strict=True)
-        )
+        assert lbp_transform(GrayImage(pixels)).tolist() == lbp_reference(pixels.tolist())
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     print(f"\nACCEPTANCE 2 LBP kernel suite: PASS ({elapsed:.2f}s)")

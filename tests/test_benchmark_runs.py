@@ -35,6 +35,7 @@ def test_golden_digests_cover_every_workload(bench):
     assert set(GOLDEN["digests"]) == set(bench.WORKLOADS)
 
 
+@pytest.mark.kernel_independent
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("name", sorted(GOLDEN["digests"]))
 def test_workload_matches_golden_digests(bench, name, traced, tmp_path):

@@ -279,6 +279,7 @@ class TestSweepCommand:
         assert lines[2].startswith("16,12,")
 
 
+@pytest.mark.kernel_independent
 class TestPinnedOutputs:
     """SHA-256 of every output on the frozen set, `synth --seed 1 --per-class
     20 --width 64 --height 48`, recorded before the manifest and dataset
@@ -305,11 +306,6 @@ class TestPinnedOutputs:
                 "ac516e6110ca6b23d543dc2a777b7e6af51153a17eb72de411f09a4c67734d38",
             ),
             (
-                ["extract", "--kind", "lbp", "--comparator", "ge"]
-                + ["--width", "32", "--height", "24"],
-                "9bf26b1644d36a1a496590d832ab2be0e27a333fd399d02440a417d0b2881cf6",
-            ),
-            (
                 ["extract", "--kind", "gray", "--width", "32", "--height", "24"],
                 "1afa69243cca917c5ec296727f088e2181e7a7c0c6e33f0d1239c73b3b0e7b4f",
             ),
@@ -334,7 +330,6 @@ class TestPinnedOutputs:
         ],
         ids=[
             "extract-concat",
-            "extract-lbp-ge",
             "extract-gray",
             "loocv-json",
             "loocv-gray-table",
@@ -475,11 +470,15 @@ class TestFailurePaths:
             ["loocv", "--manifest", "x.csv", "--tol", "1e-6"],
             ["sweep", "--manifest", "x.csv", "--tol", "1e-6"],
             ["synth", "--out", "unused", "--smoothing-radius", "2"],
+            ["extract", "--manifest", "x.csv", "--comparator", "gt"],
+            ["loocv", "--manifest", "x.csv", "--comparator", "gt"],
+            ["sweep", "--manifest", "x.csv", "--comparator", "gt"],
         ],
         ids=lambda argv: " ".join(argv[::3]),
     )
     def test_fixed_settings_are_no_flags(self, argv, tmp_path, monkeypatch, capsys):
-        # the KKT tolerance and the blur radius each have one safe value
+        # the KKT tolerance, the blur radius and the LBP tie rule each have
+        # one value in use
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -679,7 +678,6 @@ def _mostly(valid, invalid):
 _SIZE = _mostly(st.integers(3, 24).map(str), ["-1", "2", "", "x", "3.5"])
 _FLAG_VALUES = {
     "--group": _mostly(["1", "2", "all"], ["3"]),
-    "--comparator": _mostly(["gt", "ge"], ["eq"]),
     "--kind": _mostly(["lbp", "gray", "concat"], ["wavelet"]),
     "--width": _SIZE,
     "--height": _SIZE,
@@ -696,9 +694,9 @@ _FLAG_VALUES = {
 }
 _SOLVER_FLAGS = ["--c", "--max-iter", "--format", "--decimal-comma"]
 _COMMAND_FLAGS = {
-    "extract": ["--group", "--comparator", "--kind", "--width", "--height"],
-    "loocv": ["--group", "--comparator", "--kind", "--width", "--height", *_SOLVER_FLAGS],
-    "sweep": ["--group", "--comparator", "--resolutions", *_SOLVER_FLAGS],
+    "extract": ["--group", "--kind", "--width", "--height"],
+    "loocv": ["--group", "--kind", "--width", "--height", *_SOLVER_FLAGS],
+    "sweep": ["--group", "--resolutions", *_SOLVER_FLAGS],
     "synth": ["--seed", "--per-class", "--width", "--height"],
 }
 

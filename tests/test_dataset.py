@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -32,6 +33,14 @@ _MANIFEST_FIELD = st.text(
         st.sampled_from(_UNICODE_LINE_BREAKS),
     ),
     min_size=1,
+    max_size=12,
+)
+# any id or path text, empty or holding CR, LF or NUL
+_ANY_FIELD = st.text(
+    st.one_of(
+        st.characters(exclude_categories=("Cs",)),
+        st.sampled_from("\r\n\0" + _UNICODE_LINE_BREAKS),
+    ),
     max_size=12,
 )
 
@@ -126,6 +135,40 @@ class TestLoadManifest:
         manifest = LabeledDataset(
             tuple(DatasetEntry(i, None, label, group, path) for i, path, label, group in rows)
         )
+        text = serialize_manifest(manifest)
+        assert load_manifest(text) == manifest
+        assert load_manifest(text.encode("utf-8")) == manifest
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                _ANY_FIELD.filter(bool),
+                _ANY_FIELD,
+                st.sampled_from([1, -1]),
+                st.sampled_from([1, 2]),
+            ),
+            max_size=6,
+            unique_by=lambda row: row[0],
+        )
+    )
+    @example([("a", "", 1, 1)])
+    @example([("a\nb", "x.pgm", 1, 1)])
+    @example([("a", "x\ny.pgm", 1, 1)])
+    def test_serialize_raises_or_roundtrips(self, rows):
+        # empty paths, NULs, CRs and LFs are drawn too: text cannot hold them
+        manifest = LabeledDataset(
+            tuple(DatasetEntry(i, None, label, group, path) for i, path, label, group in rows)
+        )
+        unwritable = [
+            i for i, path, _, _ in rows if not path or "\0" in path or set("\r\n") & set(i + path)
+        ]
+        if unwritable:
+            first = re.escape(repr(unwritable[0]))
+            with pytest.raises(ValueError, match=f"^entry {first} cannot be written") as err:
+                serialize_manifest(manifest)
+            assert "\n" not in str(err.value)
+            return
         text = serialize_manifest(manifest)
         assert load_manifest(text) == manifest
         assert load_manifest(text.encode("utf-8")) == manifest

@@ -19,7 +19,7 @@ from texscreen.evaluation import (
     sweep_to_json,
     sweep_to_table,
 )
-from texscreen.features import Comparator, FeatureKind, extract_feature
+from texscreen.features import FeatureKind, extract_feature
 from texscreen.imagecore import GrayImage, Resolution, resize_bilinear
 
 
@@ -156,22 +156,6 @@ class TestLoocv:
             resolution_sweep(data, [Resolution(8, 8), Resolution(10, 10), Resolution(2, 2)])
         assert calls == []
 
-    def test_gray_run_checks_comparator_before_resizing(self, monkeypatch):
-        # GRAY never reads the comparator, yet a bad one is rejected as for LBP
-        calls = []
-
-        def counted(image, target):
-            calls.append(target)
-            return resize_bilinear(image, target)
-
-        monkeypatch.setattr("texscreen.evaluation.resize_bilinear", counted)
-        data = _tiny_dataset()
-        with pytest.raises(ValueError, match="bogus"):
-            loocv(data, FeatureKind.GRAY, Resolution(16, 12), "bogus")
-        assert calls == []
-        report = loocv(data, FeatureKind.GRAY, Resolution(16, 12), "gt")
-        assert report.n == len(data)
-
     def test_deterministic_reports(self):
         data = _tiny_dataset(n_pairs=3)
         r1 = loocv(data, FeatureKind.CONCAT, Resolution(8, 8))
@@ -211,12 +195,8 @@ class TestFeatureTable:
 
     def test_only_requested_kinds(self):
         data = _tiny_dataset()
-        tables = feature_tables(
-            [e.image for e in data.entries],
-            (FeatureKind.CONCAT,),
-            Resolution(8, 8),
-            Comparator.GREATER_EQUAL,
-        )
+        images = [e.image for e in data.entries]
+        tables = feature_tables(images, (FeatureKind.CONCAT,), Resolution(8, 8))
         assert list(tables) == [FeatureKind.CONCAT]
 
     def test_no_images_give_empty_tables(self):
@@ -237,10 +217,9 @@ class TestFeatureTable:
             tuple(replace(e, image=GrayImage(remap[e.image.pixels])) for e in dataset.entries)
         )
         kinds = (FeatureKind.LBP,)
-        for cmp in Comparator:
-            before = feature_tables([e.image for e in dataset.entries], kinds, native, cmp)
-            after = feature_tables([e.image for e in mapped.entries], kinds, native, cmp)
-            assert before[FeatureKind.LBP].tobytes() == after[FeatureKind.LBP].tobytes()
+        before = feature_tables([e.image for e in dataset.entries], kinds, native)
+        after = feature_tables([e.image for e in mapped.entries], kinds, native)
+        assert before[FeatureKind.LBP].tobytes() == after[FeatureKind.LBP].tobytes()
         assert report_to_json(loocv(mapped, FeatureKind.LBP, native)) == report_to_json(
             loocv(dataset, FeatureKind.LBP, native)
         )

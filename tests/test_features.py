@@ -5,13 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import lbp_reference
-from texscreen.features import (
-    Comparator,
-    FeatureKind,
-    extract_feature,
-    format_feature,
-    lbp_transform,
-)
+from texscreen.features import FeatureKind, extract_feature, format_feature, lbp_transform
 from texscreen.imagecore import GrayImage
 
 
@@ -19,10 +13,6 @@ class TestLbpTransform:
     def test_constant_image_strict_greater(self):
         codes = lbp_transform(GrayImage(np.full((6, 4), 77)))
         assert (codes == 0).all()
-
-    def test_constant_image_greater_equal(self):
-        codes = lbp_transform(GrayImage(np.full((6, 4), 77)), Comparator.GREATER_EQUAL)
-        assert (codes == 255).all()
 
     def test_hand_case(self):
         img = GrayImage([[6, 5, 2], [7, 5, 1], [9, 8, 7]])
@@ -37,26 +27,6 @@ class TestLbpTransform:
     def test_too_small_image_rejected(self):
         with pytest.raises(ValueError):
             lbp_transform(GrayImage(np.zeros((2, 5), dtype=np.uint8)))
-
-    def test_comparator_value_selects_its_rule(self):
-        # two gray levels, so about half of all neighbors tie with their center
-        img = GrayImage(np.random.default_rng(11).integers(0, 2, size=(9, 7)))
-        for cmp in Comparator:
-            assert np.array_equal(lbp_transform(img, cmp.value), lbp_transform(img, cmp))
-            assert np.array_equal(
-                extract_feature(img, FeatureKind.LBP, cmp.value),
-                extract_feature(img, FeatureKind.LBP, cmp),
-            )
-        assert not np.array_equal(lbp_transform(img, "gt"), lbp_transform(img, "ge"))
-        with pytest.raises(ValueError, match="bogus"):
-            lbp_transform(img, "bogus")
-        # GRAY reads no comparator but still rejects a bad one
-        for kind in FeatureKind:
-            with pytest.raises(ValueError, match="bogus"):
-                extract_feature(img, kind, "bogus")
-        assert np.array_equal(
-            extract_feature(img, FeatureKind.GRAY, "gt"), extract_feature(img, FeatureKind.GRAY)
-        )
 
     def test_gray_shift_invariance(self):
         rng = np.random.default_rng(23)
@@ -73,19 +43,7 @@ class TestLbpTransform:
     def test_constant_shift_invariance_property(self, pixels, data):
         shift = data.draw(st.integers(0, 255 - int(pixels.max())), label="shift")
         shifted = GrayImage(pixels.astype(np.int64) + shift)
-        for cmp in Comparator:
-            assert np.array_equal(
-                lbp_transform(GrayImage(pixels), cmp), lbp_transform(shifted, cmp)
-            )
-
-    def test_comparators_agree_without_ties(self):
-        rng = np.random.default_rng(29)
-        for _ in range(10):
-            # all pixel values distinct, so no center-neighbor ties exist
-            pixels = rng.permutation(256)[:25].reshape(5, 5)
-            gt = lbp_transform(GrayImage(pixels), Comparator.STRICT_GREATER)
-            ge = lbp_transform(GrayImage(pixels), Comparator.GREATER_EQUAL)
-            assert np.array_equal(gt, ge)
+        assert np.array_equal(lbp_transform(GrayImage(pixels)), lbp_transform(shifted))
 
     def test_rotation_changes_histogram(self):
         rng = np.random.default_rng(31)
@@ -94,31 +52,27 @@ class TestLbpTransform:
         rotated = extract_feature(GrayImage(np.rot90(pixels).copy()), FeatureKind.LBP)
         assert np.abs(original - rotated).sum() > 0
 
-    @pytest.mark.parametrize("cmp", [Comparator.STRICT_GREATER, Comparator.GREATER_EQUAL])
-    def test_matches_bitwise_reference_on_random_images(self, cmp):
+    def test_matches_bitwise_reference_on_random_images(self):
         rng = np.random.default_rng(37)
-        strict = cmp is Comparator.STRICT_GREATER
         for _ in range(100):
             pixels = rng.integers(0, 256, size=(5, 5))
-            expected = lbp_reference(pixels.tolist(), strict=strict)
-            got = lbp_transform(GrayImage(pixels), cmp)
+            expected = lbp_reference(pixels.tolist())
+            got = lbp_transform(GrayImage(pixels))
             assert got.tolist() == expected
 
-    @pytest.mark.parametrize("cmp", [Comparator.STRICT_GREATER, Comparator.GREATER_EQUAL])
     @pytest.mark.parametrize(
         "shape", [(3, 3), (3, 17), (17, 3), (40, 60), (3, 4), (4, 3), (5, 7), (9, 4)]
     )
-    def test_matches_bitwise_reference_with_ties(self, cmp, shape):
+    def test_matches_bitwise_reference_with_ties(self, shape):
         # four gray levels make center-neighbor ties common in every direction;
         # codes run over the flattened pixels, so neighbors wrap to the next
         # row at the side borders, and those codes must all be cut away
         rng = np.random.default_rng(43)
-        strict = cmp is Comparator.STRICT_GREATER
         for _ in range(20):
             pixels = rng.integers(0, 4, size=shape)
-            expected = lbp_reference(pixels.tolist(), strict=strict)
+            expected = lbp_reference(pixels.tolist())
             for layout in (pixels, np.asfortranarray(pixels)):
-                got = lbp_transform(GrayImage(layout), cmp)
+                got = lbp_transform(GrayImage(layout))
                 assert got.dtype == np.uint8 and got.flags.c_contiguous
                 assert got.shape == (shape[0] - 2, shape[1] - 2)
                 assert got.tolist() == expected
@@ -134,10 +88,9 @@ class TestLbpTransform:
     def test_quarter_turn_rotates_codes_two_bits(self, pixels):
         # turning the image a quarter counterclockwise moves each neighbor
         # two places round the ring: E becomes N, so code bit k becomes k + 2
-        for cmp in Comparator:
-            codes = lbp_transform(GrayImage(pixels), cmp)
-            turned = lbp_transform(GrayImage(np.rot90(pixels)), cmp)
-            assert np.array_equal(turned, np.rot90((codes << 2) | (codes >> 6)))
+        codes = lbp_transform(GrayImage(pixels))
+        turned = lbp_transform(GrayImage(np.rot90(pixels)))
+        assert np.array_equal(turned, np.rot90((codes << 2) | (codes >> 6)))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -152,10 +105,7 @@ class TestLbpTransform:
         # codes compare neighbors with centers only, so any order-preserving
         # remap of the gray levels, not just a shift, leaves them unchanged
         mapped = np.array(sorted(levels), dtype=np.uint8)[pixels]
-        for cmp in Comparator:
-            assert np.array_equal(
-                lbp_transform(GrayImage(mapped), cmp), lbp_transform(GrayImage(pixels), cmp)
-            )
+        assert np.array_equal(lbp_transform(GrayImage(mapped)), lbp_transform(GrayImage(pixels)))
 
 
 def _counts(fv, cells):
@@ -237,14 +187,13 @@ class TestNormalizeAndConcat:
     def test_concat_slicing_recovers_blocks(self):
         rng = np.random.default_rng(53)
         img = GrayImage(rng.integers(0, 256, size=(9, 8)))
-        fv = extract_feature(img, FeatureKind.CONCAT, Comparator.GREATER_EQUAL)
-        codes = lbp_transform(img, Comparator.GREATER_EQUAL)
+        fv = extract_feature(img, FeatureKind.CONCAT)
+        codes = lbp_transform(img)
         lbp = np.bincount(codes.ravel(), minlength=256) / codes.size
         gray = np.bincount(img.pixels.ravel(), minlength=256) / img.pixels.size
         assert np.array_equal(fv[:256], lbp)
         assert np.array_equal(fv[256:], gray)
-        lbp_alone = extract_feature(img, FeatureKind.LBP, Comparator.GREATER_EQUAL)
-        assert np.array_equal(fv[:256], lbp_alone)
+        assert np.array_equal(fv[:256], extract_feature(img, FeatureKind.LBP))
         assert np.array_equal(fv[256:], extract_feature(img, FeatureKind.GRAY))
 
 

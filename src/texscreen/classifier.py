@@ -7,7 +7,7 @@ and 0 on it. The folds of one table share the signed Gram matrix
 Q = (X X^T) o (y y^T). G = alpha Q is formed one fold at a time, never as
 a 2-D matrix product, whose rounding depends on the batch: G[f, j] =
 y_j (w_f . x_j) is sample j's signed margin under fold f. With g = G - 1,
-a fold is optimal once its largest projected gradient is within 1e-6
+a fold is optimal once its largest projected gradient is within tolerance
 (`_TOLERANCE`; `projected_gradient`, Fan et al. 2008): g_j where alpha_j
 may fall (is above 0), -g_j where it may rise (is below its bound). A
 held-out variable, bound 0, can do neither and never counts.
@@ -37,10 +37,11 @@ null space, a step with (almost) no curvature. The step goes instead along
 the part of -g_F outside the range of Q_FF, a direction of linear descent,
 or, when there is none, along a null vector, to the nearest bound. C
 times each row sum of |Q| bounds every gradient, so features whose bound
-overflows are rejected. `max_outer_iterations` caps a fold's KKT checks:
-the corner check, plus one per change of its free set. The all-sample
-solve has the same cap; stopping it early only gives a poorer warm start.
-A fold at the cap keeps its last feasible alpha.
+overflows are rejected, and eps times the largest bound, a gradient's
+rounding, joins the tolerance. `max_outer_iterations` caps a fold's KKT
+checks: the corner check, plus one per change of its free set. The
+all-sample solve has the same cap; stopping it early only gives a poorer
+warm start. A fold at the cap keeps its last feasible alpha.
 
 The bias of a fold is recovered from its training margins w.x_j: the mean
 of y_j - w.x_j over free support vectors, which may both fall and rise,
@@ -56,13 +57,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# KKT tolerance on each fold's largest projected gradient. Every fold is
-# exact, so it only absorbs rounding: on 6 synthetic seeds at 64x48, 50x37
-# and 300x225, every kind, C up to 1e4, converged folds end at violations of
-# at most 9.6e-13, and a fold whose optimum is off its box corner fails the
-# test there by 1.0e-4 or more. The frozen set's GRAY folds at 64x48 and C=1e9 end
-# at up to 8.7e-8 (38 of 40 would not converge at 1e-9); at 0.5, 20 of its
-# 40 LBP folds at 300x225 and C=10 would keep a non-optimal corner.
+# KKT tolerance on each fold's largest projected gradient, plus eps C times
+# the largest row sum of |Q|. Every fold is exact, so it only absorbs
+# rounding: on 6 synthetic seeds at 64x48, 50x37 and 300x225, every kind, C up
+# to 1e4, converged folds end at violations of at most 9.6e-13, and a fold
+# whose optimum is off its box corner fails the test there by 1.0e-4 or more.
+# The frozen set's GRAY folds at 64x48 and C=1e9 end at up to 8.7e-8 (38 of 40
+# would not converge at 1e-9); at 0.5, 20 of its 40 LBP folds at 300x225 and
+# C=10 would keep a non-optimal corner. On 30 Gaussian tables (n 40-150, d 3,
+# C=1; 2,759 folds) the eps term converges every fold at feature scales 1e4 to
+# 1e8, as on 3 more such sets; half of it leaves 2 folds unconverged at 1e8,
+# and none of it 511 at 1e4 and all at 1e6.
 _TOLERANCE = 1e-6
 # Curvature below this share of the largest diagonal entry of Q_FF counts as
 # 0: far above the rounding of a null direction (a few m eps) and far below
@@ -76,7 +81,10 @@ class SolverConfig:
     (`FoldSolutions.passes`), and a numpy integer cap becomes `int`."""
 
     c: float = 1.0
-    max_outer_iterations: int = 100
+    # uncapped, folds took at most 10 KKT checks on the benchmark, 20 on synthetic
+    # sets up to n = 200 (any kind, C = 10 to 1e5), 189 (1.08 per sample) on random
+    # overlapping tables at n = 100-200; the most per sample was 1.79, at n = 14
+    max_outer_iterations: int = 1000
 
     def __post_init__(self):
         if not (math.isfinite(self.c) and self.c > 0):
@@ -97,8 +105,7 @@ class FoldSolutions:
     # KKT checks: 1 at the box corner, plus 1 per free-set change; a fold the
     # warm start solves unchanged also reads 1, so only alpha shows the corner
     passes: np.ndarray
-    # largest projected gradient within an absolute 1e-6 by the cap on passes
-    # (exact folds of features of 1e6 and up can fail it; histograms cannot)
+    # largest projected gradient within the tolerance by the cap on passes
     converged: np.ndarray
 
     @property
@@ -125,9 +132,8 @@ def solve_folds(
 ) -> FoldSolutions:
     """Solve the duals of all n leave-one-out folds of the (n, d) `features`:
     fold f trains on every row but f. A fold is `converged` when its largest
-    projected gradient is within an absolute 1e-6, whose rounding grows with
-    |Q|: exact folds of features of 1e6 and up can read unconverged, those of
-    L1-normalised histograms cannot.
+    projected gradient is within 1e-6 plus eps C times the largest row sum
+    of |Q|, which bounds the rounding of a gradient.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -143,8 +149,10 @@ def solve_folds(
     c = cfg.c
     with np.errstate(over="ignore", invalid="ignore"):
         q = (x @ x.T) * np.outer(y, y)
-        if not np.isfinite(c * np.abs(q).sum(axis=1)).all():
-            raise ValueError("features are too large: their Gram matrix overflows")
+        scale = c * np.abs(q).sum(axis=1).max()
+    if not np.isfinite(scale):
+        raise ValueError("features are too large: their Gram matrix overflows")
+    tolerance = _TOLERANCE + np.finfo(np.float64).eps * scale
     # each fold's bound on each alpha_i: C, or 0 for the sample it holds out
     bounds = np.full((n, n), c)
     np.fill_diagonal(bounds, 0.0)
@@ -152,22 +160,22 @@ def solve_folds(
     # rounds alike in any batch
     alpha = bounds.copy()
     grad = np.matmul(alpha[:, None, :], q)[:, 0, :]
-    converged = projected_gradient(grad - 1.0, alpha, bounds) <= _TOLERANCE
+    converged = projected_gradient(grad - 1.0, alpha, bounds) <= tolerance
     passes = np.ones(n, dtype=np.int64)
     rest = np.flatnonzero(~converged)
     if rest.size:
         changes = cfg.max_outer_iterations - 1
         # the problem on every sample, from alpha = C, seeds each fold
         seed, seed_free = np.full(n, c), np.zeros(n, dtype=bool)
-        _active_set(q, seed, np.full(n, c), seed_free, changes)
+        _active_set(q, seed, np.full(n, c), seed_free, changes, tolerance)
         for f in rest:
             start, free = seed.copy(), seed_free.copy()
             start[f], free[f] = 0.0, False
-            passes[f] += _active_set(q, start, bounds[f], free, changes)
+            passes[f] += _active_set(q, start, bounds[f], free, changes, tolerance)
             alpha[f] = start
         grad[rest] = np.matmul(alpha[rest, None, :], q)[:, 0, :]
         violation = projected_gradient(grad[rest] - 1.0, alpha[rest], bounds[rest])
-        converged[rest] = violation <= _TOLERANCE
+        converged[rest] = violation <= tolerance
     margins = grad * y
     bias = _bias_from_margins(y, alpha, margins, bounds)
     return FoldSolutions(alpha, margins, bias, passes, converged)
@@ -179,6 +187,7 @@ def _active_set(
     upper: np.ndarray,
     free: np.ndarray,
     changes: int,
+    tolerance: float,
 ) -> int:
     """Primal active set for min 1/2 a'Qa - 1'a over 0 <= a <= `upper`.
 
@@ -211,7 +220,7 @@ def _active_set(
         violation = np.maximum(g * (alpha > 0.0), -g * (alpha < upper))
         violation[free] = 0.0
         j = int(violation.argmax())
-        if violation[j] <= _TOLERANCE or used == changes:
+        if violation[j] <= tolerance or used == changes:
             return used
         free[j] = True
         used += 1

@@ -7,8 +7,8 @@ Commands:
   synth    generate the seeded synthetic benchmark (images + manifest)
 
 Defaults reproduce the reference configuration: resolution 300x225,
-C=1.0, 100 KKT checks per fold. The strict-greater LBP tie rule, the KKT
-tolerance (1e-6) and the synthetic blur radius (2) are fixed. All
+C=1.0. The strict-greater LBP tie rule, the KKT tolerance, the cap of 1000
+KKT checks per fold and the synthetic blur radius (2) are fixed. All
 randomness flows from --seed; no command reads a clock or the environment.
 """
 
@@ -127,15 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     solver_flags = argparse.ArgumentParser(add_help=False)
-    cfg = SolverConfig()
     solver_flags.add_argument(
-        "--c", type=_positive_float, default=cfg.c, help="soft-margin penalty"
-    )
-    solver_flags.add_argument(
-        "--max-iter",
-        type=_int_range(1),
-        default=cfg.max_outer_iterations,
-        help="maximum KKT checks per fold: 1 at the box corner, plus 1 per active-set change",
+        "--c", type=_positive_float, default=SolverConfig().c, help="soft-margin penalty"
     )
 
     output_flags = argparse.ArgumentParser(add_help=False)
@@ -228,45 +221,41 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(c=args.c, max_outer_iterations=args.max_iter)
-
-
-def _warn_pass_cap(reports: Sequence[EvalReport], max_iter: int) -> None:
+def _warn_pass_cap(reports: Sequence[EvalReport], cfg: SolverConfig) -> None:
     unconverged = sum(r.unconverged for r in reports)
     folds = sum(r.n for r in reports)  # one fold per entry
     if unconverged:
         print(
             f"texscreen: warning: {unconverged} of {folds} folds stopped at the pass cap "
-            f"(--max-iter {max_iter})",
+            f"of {cfg.max_outer_iterations} KKT checks",
             file=sys.stderr,
         )
 
 
 def _cmd_loocv(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.manifest, args.group)
-    report = loocv(
-        dataset, FeatureKind(args.kind), Resolution(args.width, args.height), _solver_config(args)
-    )
+    cfg = SolverConfig(c=args.c)
+    report = loocv(dataset, FeatureKind(args.kind), Resolution(args.width, args.height), cfg)
     if args.format == "json":
         text = report_to_json(report, args.decimal_comma)
     else:
         text = report_to_table(report, args.decimal_comma)
     _write_text(args.out, text)
-    _warn_pass_cap([report], args.max_iter)
+    _warn_pass_cap([report], cfg)
     return EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.manifest, args.group)
     resolutions = args.resolutions if args.resolutions else DEFAULT_SWEEP_RESOLUTIONS
-    sweep = resolution_sweep(dataset, resolutions, _solver_config(args))
+    cfg = SolverConfig(c=args.c)
+    sweep = resolution_sweep(dataset, resolutions, cfg)
     if args.format == "json":
         text = sweep_to_json(sweep, args.decimal_comma)
     else:
         text = sweep_to_table(sweep)
     _write_text(args.out, text)
-    _warn_pass_cap([r for reports in sweep.values() for r in reports.values()], args.max_iter)
+    _warn_pass_cap([r for reports in sweep.values() for r in reports.values()], cfg)
     return EXIT_OK
 
 

@@ -54,8 +54,9 @@ class EvalReport:
 
     `confusion` rows are true classes in order (normal, adulterated),
     columns the predicted classes in the same order. `unconverged` counts
-    folds that reached the cap on KKT checks (`max_outer_iterations`)
-    without meeting the tolerance; reports do not render it.
+    folds that reached the cap on KKT checks (`max_outer_iterations`, 1000
+    by default) without meeting the tolerance; reports do not render it,
+    and the CLI warns of it on stderr.
     """
 
     feature_kind: FeatureKind

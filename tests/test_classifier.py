@@ -180,6 +180,24 @@ class TestSolver:
             assert sol.converged.any()
             assert (fold_violations(y, sol, cfg.c)[sol.converged] <= _TOLERANCE).all()
 
+    def test_default_cap_converges_overlapping_table(self):
+        # a random overlapping L1-normalised table at large C, where 11 of
+        # the 157 folds need more than 100 KKT checks
+        rng = np.random.default_rng(7)
+        n = int(rng.integers(100, 161))
+        x = rng.random((n, 16)) ** rng.uniform(1, 8)
+        x /= x.sum(axis=1, keepdims=True)
+        y = np.where(np.arange(n) % 2 == 0, 1, -1)
+        c = float(10 ** rng.uniform(3, 6))
+        assert solve_folds(x, y, SolverConfig(c=c)).converged.all()
+
+    @pytest.mark.parametrize("scale", [1e4, 1e6])
+    def test_large_features_converge(self, scale):
+        # the tolerance grows with the rounding of the gradients: an absolute
+        # 1e-6 leaves 1 of these 60 folds unconverged at 1e4 and all at 1e6
+        x, y = _random_problem(np.random.default_rng(101), 60, 3)
+        assert solve_folds(x * scale, y).converged.all()
+
     def test_objective_nondecreasing_across_passes(self):
         rng = np.random.default_rng(73)
         x, y = _random_problem(rng, 8, 2)
@@ -532,6 +550,7 @@ class TestPredictAndSerialize:
         assert np.abs(sol.margins - w @ x.T).max() <= 1e-12
         assert np.abs(sol.decisions - (np.einsum("fd,fd->f", w, x) + sol.bias)).max() <= 1e-12
 
+    @pytest.mark.kernel_independent
     def test_linearity_in_x(self):
         # a fold never reads its held-out row, so scaling that row by 2 scales
         # only w_f . x_f of fold f, exactly
@@ -544,7 +563,7 @@ class TestPredictAndSerialize:
             sol = solve_folds(doubled, y)
             assert np.array_equal(sol.alpha[k], base.alpha[k])
             assert sol.bias[k] == base.bias[k]
-            assert sol.decisions[k] - sol.bias[k] == 2.0 * (base.decisions[k] - base.bias[k])
+            assert sol.margins[k, k] == 2.0 * base.margins[k, k]
 
     def test_sign_rule_and_tie(self):
         assert _predicted_label(3.2) == 1
@@ -639,6 +658,6 @@ class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.c == 1.0
-        assert cfg.max_outer_iterations == 100
+        assert cfg.max_outer_iterations == 1000
         # the KKT tolerance is a constant, not a setting
         assert [f.name for f in fields(SolverConfig)] == ["c", "max_outer_iterations"]

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import FROZEN_SPEC
+from texscreen import cli
 from texscreen.classifier import SolverConfig
 from texscreen.cli import (
     EXIT_INVALID_DATA,
@@ -21,7 +23,6 @@ from texscreen.cli import (
     EXIT_PROCESSING,
     EXIT_UNREADABLE,
     EXIT_USAGE,
-    _solver_config,
     build_parser,
     main,
 )
@@ -439,7 +440,6 @@ class TestFailurePaths:
         [
             ["loocv", "--manifest", "x.csv", "--c", "-1"],
             ["loocv", "--manifest", "x.csv", "--c", "nan"],
-            ["sweep", "--manifest", "x.csv", "--max-iter", "0"],
             ["loocv", "--manifest", "x.csv", "--width", "2", "--height", "2"],
             ["sweep", "--manifest", "x.csv", "--resolutions", "50x37,2x2"],
             ["sweep", "--manifest", "x.csv", "--resolutions", "50x37,50X37"],
@@ -473,12 +473,14 @@ class TestFailurePaths:
             ["extract", "--manifest", "x.csv", "--comparator", "gt"],
             ["loocv", "--manifest", "x.csv", "--comparator", "gt"],
             ["sweep", "--manifest", "x.csv", "--comparator", "gt"],
+            ["loocv", "--manifest", "x.csv", "--max-iter", "5"],
+            ["sweep", "--manifest", "x.csv", "--max-iter", "5"],
         ],
         ids=lambda argv: " ".join(argv[::3]),
     )
     def test_fixed_settings_are_no_flags(self, argv, tmp_path, monkeypatch, capsys):
-        # the KKT tolerance, the blur radius and the LBP tie rule each have
-        # one value in use
+        # the KKT tolerance, the pass cap, the blur radius and the LBP tie
+        # rule each have one value in use
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -574,16 +576,20 @@ class TestPassCapWarning:
         assert code == EXIT_OK
         return capsys.readouterr().err
 
-    def test_loocv_capped_run_warns(self, tmp_path, capsys):
-        argv = ["loocv", "--max-iter", "1", "--c", "100", "--width", "16", "--height", "12"]
-        err = self._run(tmp_path, capsys, argv)
-        assert err == "texscreen: warning: 6 of 6 folds stopped at the pass cap (--max-iter 1)\n"
+    @pytest.fixture
+    def cap_1(self, monkeypatch):
+        monkeypatch.setattr(cli, "SolverConfig", partial(SolverConfig, max_outer_iterations=1))
 
-    def test_sweep_capped_run_warns(self, tmp_path, capsys):
-        argv = ["sweep", "--max-iter", "1", "--c", "100", "--resolutions", "8x6,16x12"]
+    def test_loocv_capped_run_warns(self, tmp_path, capsys, cap_1):
+        argv = ["loocv", "--c", "100", "--width", "16", "--height", "12"]
+        err = self._run(tmp_path, capsys, argv)
+        assert err == "texscreen: warning: 6 of 6 folds stopped at the pass cap of 1 KKT checks\n"
+
+    def test_sweep_capped_run_warns(self, tmp_path, capsys, cap_1):
+        argv = ["sweep", "--c", "100", "--resolutions", "8x6,16x12"]
         err = self._run(tmp_path, capsys, argv)
         assert err.startswith("texscreen: warning: ")
-        assert err.endswith(" of 36 folds stopped at the pass cap (--max-iter 1)\n")
+        assert err.endswith(" of 36 folds stopped at the pass cap of 1 KKT checks\n")
 
     @pytest.mark.parametrize("kind", ["lbp", "concat"])
     def test_frozen_set_at_c_100_is_silent(self, tmp_path, capsys, kind):
@@ -608,7 +614,7 @@ class TestPassCapWarning:
 
 def test_solver_flag_defaults_are_the_solver_config_defaults():
     args = build_parser().parse_args(["loocv", "--manifest", "x.csv"])
-    assert _solver_config(args) == SolverConfig()
+    assert SolverConfig(c=args.c) == SolverConfig()
 
 
 def _pnm_bytes(magic, width, height, seed):
@@ -686,13 +692,12 @@ _FLAG_VALUES = {
         st.sampled_from(["", "8x8,8x8", "8by8"]),
     ),
     "--c": _mostly(["1", "0.01", "100"], ["0", "-1", "nan", "inf", "x"]),
-    "--max-iter": _mostly(["1", "3", "99999999999999999999"], ["0", "-2", "1.5"]),
     "--format": _mostly(["json", "table"], ["xml"]),
     "--decimal-comma": st.just(None),
     "--seed": _mostly(["0", "1", str(2**64 - 1)], ["-1", str(2**64), "x"]),
     "--per-class": _mostly(["2", "3"], ["1", "x"]),
 }
-_SOLVER_FLAGS = ["--c", "--max-iter", "--format", "--decimal-comma"]
+_SOLVER_FLAGS = ["--c", "--format", "--decimal-comma"]
 _COMMAND_FLAGS = {
     "extract": ["--group", "--kind", "--width", "--height"],
     "loocv": ["--group", "--kind", "--width", "--height", *_SOLVER_FLAGS],

@@ -207,7 +207,8 @@ def _active_set(
             if target is None or not ((target >= 0.0) & (target <= upper[free])).all():
                 if used == changes:
                     return used
-                direction = None if target is None else target - alpha[free]
+                with np.errstate(over="ignore"):  # an overflowed step fails `_flat`
+                    direction = None if target is None else target - alpha[free]
                 if direction is None or _flat(face, direction):
                     direction = _null_direction(face, rows @ alpha - 1.0)
                 _step_to_bound(alpha, upper, free, direction)

@@ -136,12 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     output_flags.add_argument(
         "--format", choices=("json", "table"), default="json", help="report format"
     )
-    output_flags.add_argument(
-        "--decimal-comma",
-        action="store_true",
-        help="render percents with a decimal comma (96,6%%); no effect on sweep "
-        "--format table, which prints fractions",
-    )
 
     p_extract = sub.add_parser(
         "extract",
@@ -237,9 +231,9 @@ def _cmd_loocv(args: argparse.Namespace) -> int:
     cfg = SolverConfig(c=args.c)
     report = loocv(dataset, FeatureKind(args.kind), Resolution(args.width, args.height), cfg)
     if args.format == "json":
-        text = report_to_json(report, args.decimal_comma)
+        text = report_to_json(report)
     else:
-        text = report_to_table(report, args.decimal_comma)
+        text = report_to_table(report)
     _write_text(args.out, text)
     _warn_pass_cap([report], cfg)
     return EXIT_OK
@@ -251,7 +245,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = SolverConfig(c=args.c)
     sweep = resolution_sweep(dataset, resolutions, cfg)
     if args.format == "json":
-        text = sweep_to_json(sweep, args.decimal_comma)
+        text = sweep_to_json(sweep)
     else:
         text = sweep_to_table(sweep)
     _write_text(args.out, text)

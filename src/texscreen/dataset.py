@@ -12,9 +12,12 @@ entry per line; labels are `normal` or `adulterated`, groups 1 or 2.
 The synthetic benchmark pairs each "normal" image (seeded uniform noise,
 box-blurred so neighboring pixels correlate) with an "adulterated" twin
 whose pixels are the identical multiset randomly permuted in position. The
-twins share their gray-level histogram exactly while the blur-induced
-spatial structure is destroyed, so texture codes separate the classes and
-intensity histograms cannot.
+blur-induced spatial structure is destroyed, so texture codes separate the
+classes, while at native resolution the twins share their gray-level
+histogram exactly. Gray histograms still do not score at chance (the
+README's measured limitation): on the frozen set GRAY scores 6/40 at native
+64x48, an artifact of the pairs, and 40/40 on resized sweep rows, where
+resizing leaks the label into the gray histogram.
 
 All randomness comes from one SplitMix64 stream. Its state after k draws is
 seed + k*gamma mod 2^64 (Steele, Lea & Flood 2014), so the generator draws
@@ -116,8 +119,8 @@ class SyntheticSpec:
 _SMOOTHING_RADIUS = 2
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
-# Fisher-Yates indices are drawn this many at a time, so the draws' uint64
-# scratch memory stays fixed whatever the image size.
+# Fisher-Yates indices are drawn this many at a time: drawing all n-1 of a
+# twin's indices in one block measured slower in 6 of 6 benchmark runs.
 _SHUFFLE_BLOCK = 8192
 
 

@@ -8,8 +8,7 @@ and the folds of one feature table are solved together
 (`classifier.solve_folds`). `EvalReport` is the one result type: `loocv`
 returns one, and `resolution_sweep` returns each resolution's reports keyed
 by kind. Accuracies are kept as exact integer ratios; rendering to percent
-(one decimal, round-half-up, optional decimal comma) happens only at the
-output boundary.
+(one decimal, round-half-up) happens only at the output boundary.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ class EvalReport:
         return int(self.confusion[1].sum())
 
 
-def render_percent(numerator: int, denominator: int, decimal_comma: bool = False) -> str:
+def render_percent(numerator: int, denominator: int) -> str:
     """Exact ratio rendered as a percent with one decimal, round-half-up.
 
     Computed in integer tenths of a percent so rendering never depends on
@@ -88,8 +87,7 @@ def render_percent(numerator: int, denominator: int, decimal_comma: bool = False
     if denominator <= 0:
         raise ValueError("denominator must be positive")
     tenths = (2000 * numerator + denominator) // (2 * denominator)
-    separator = "," if decimal_comma else "."
-    return f"{tenths // 10}{separator}{tenths % 10}%"
+    return f"{tenths // 10}.{tenths % 10}%"
 
 
 def feature_tables(
@@ -171,10 +169,9 @@ def _loocv_reports(
         raise ValueError("at least one resolution is required")
     if len(set(resolutions)) != len(resolutions):
         raise ValueError("duplicate resolutions are not allowed")
-    if len(data) < 3:
-        raise ValueError("dataset needs at least 3 entries")
     labels = np.array([e.label for e in data.entries])
-    if set(labels.tolist()) != {LABEL_ADULTERATED, LABEL_NORMAL}:
+    _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
+    if len(sizes) != 2:  # entries hold only the labels +1 and -1
         raise ValueError("dataset must contain both labels")
     for e in data.entries:
         if e.image is None:
@@ -182,7 +179,6 @@ def _loocv_reports(
     if any(res.width < 3 or res.height < 3 for res in resolutions):
         raise ValueError("evaluation resolutions must be at least 3x3")
     # holding out the only sample of its class leaves a one-class training set
-    _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
     if (sizes == 1).any():
         lone = data.entries[first[sizes == 1].min()]
         raise ValueError(
@@ -224,51 +220,51 @@ def resolution_sweep(
     return _loocv_reports(data, resolutions, SWEEP_KINDS, cfg)
 
 
-def _class_block(correct: int, total: int, decimal_comma: bool) -> dict:
+def _class_block(correct: int, total: int) -> dict:
     return {
         "correct": correct,
         "total": total,
         "accuracy": correct / total if total else None,
-        "percent": render_percent(correct, total, decimal_comma) if total else None,
+        "percent": render_percent(correct, total) if total else None,
     }
 
 
-def _per_class(report: EvalReport, decimal_comma: bool) -> dict[str, dict]:
+def _per_class(report: EvalReport) -> dict[str, dict]:
     totals = {"normal": report.normal_total, "adulterated": report.adulterated_total}
     return {
-        name: _class_block(int(report.confusion[i, i]), total, decimal_comma)
+        name: _class_block(int(report.confusion[i, i]), total)
         for i, (name, total) in enumerate(totals.items())
     }
 
 
-def report_to_json(report: EvalReport, decimal_comma: bool = False) -> str:
+def report_to_json(report: EvalReport) -> str:
     obj = {
         "feature_kind": report.feature_kind.value,
         "n": report.n,
         "correct": report.correct,
         "global_accuracy": report.global_accuracy,
-        "global_percent": render_percent(report.correct, report.n, decimal_comma),
-        "per_class": _per_class(report, decimal_comma),
+        "global_percent": render_percent(report.correct, report.n),
+        "per_class": _per_class(report),
         "confusion": report.confusion.tolist(),
         "misclassified_ids": list(report.misclassified_ids),
     }
     return json.dumps(obj, indent=2) + "\n"
 
 
-def report_to_table(report: EvalReport, decimal_comma: bool = False) -> str:
+def report_to_table(report: EvalReport) -> str:
     """One-row comma-separated summary of an evaluation report."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["kind", "n", "correct", "global", "normal", "adulterated", "misclassified"]
     )
-    per_class = _per_class(report, decimal_comma)
+    per_class = _per_class(report)
     writer.writerow(
         [
             report.feature_kind.value,
             report.n,
             report.correct,
-            render_percent(report.correct, report.n, decimal_comma),
+            render_percent(report.correct, report.n),
             per_class["normal"]["percent"] or "",
             per_class["adulterated"]["percent"] or "",
             ";".join(report.misclassified_ids),
@@ -277,9 +273,7 @@ def report_to_table(report: EvalReport, decimal_comma: bool = False) -> str:
     return buf.getvalue()
 
 
-def sweep_to_json(
-    sweep: dict[Resolution, dict[FeatureKind, EvalReport]], decimal_comma: bool = False
-) -> str:
+def sweep_to_json(sweep: dict[Resolution, dict[FeatureKind, EvalReport]]) -> str:
     rows = []
     for res, reports in sweep.items():
         n = reports[SWEEP_KINDS[0]].n
@@ -288,10 +282,7 @@ def sweep_to_json(
                 "width": res.width,
                 "height": res.height,
                 "n": n,
-                **{
-                    kind.value: _class_block(reports[kind].correct, n, decimal_comma)
-                    for kind in SWEEP_KINDS
-                },
+                **{kind.value: _class_block(reports[kind].correct, n) for kind in SWEEP_KINDS},
             }
         )
     return json.dumps({"rows": rows}, indent=2) + "\n"

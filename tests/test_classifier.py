@@ -114,7 +114,8 @@ def frozen_oracle(synthetic_benchmark):
 @st.composite
 def _scaled_tables(draw):
     """Finite features whose rows range from 1e-160 to 1e154 in size, with
-    zero and duplicate rows, any labels and C from 1e-3 to 1e6."""
+    zero and duplicate rows, any labels and C from 1e-3 to 1.78e308, near the
+    largest float."""
     n = draw(st.integers(2, 8), label="n")
     d = draw(st.integers(1, 4), label="d")
     rows = draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-1.0, 1.0)), label="rows")
@@ -122,7 +123,7 @@ def _scaled_tables(draw):
     rows *= np.array(draw(st.lists(scale, min_size=n, max_size=n), label="scale"))[:, None]
     x = rows[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="which")]
     y = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n), label="y"))
-    return x, y, draw(st.floats(-3.0, 6.0).map(lambda e: 10.0**e), label="c")
+    return x, y, draw(st.floats(-3.0, 308.25).map(lambda e: 10.0**e), label="c")
 
 
 def _random_problem(rng, n, d):
@@ -601,6 +602,7 @@ class TestSolverInputs:
     @given(_scaled_tables())
     @example((np.array([[0.0], [3e99], [7e99], [-1e100]]), np.array([-1, 1, -1, 1]), 1.0))
     @example((np.array([[1e153], [2e153], [-1e153]]), np.array([1, 1, -1]), 1e10))
+    @example((np.array([[0.3], [0.3], [0.0]]), np.array([-1, -1, 1]), 1.2e308))
     def test_any_scale_solves_or_rejects_without_warning(self, table):
         # the overflow check at the input is the solver's one scale rule: past
         # it, no floating-point warning, every alpha in its box, finite decisions

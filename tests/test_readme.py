@@ -1,10 +1,11 @@
-"""The README's examples run as written."""
+"""The README's examples run as written, and it names the flags the CLI has."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
-from texscreen.cli import EXIT_OK, main
+from texscreen.cli import EXIT_OK, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 _BLOCK = re.compile(r"^```(\w+)\n(.*?)^```", re.MULTILINE | re.DOTALL)
@@ -41,3 +42,20 @@ def test_python_examples_run(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert capsys.readouterr().out.splitlines()[:2] == ["40 / 40", "(40, 256)"]
+
+
+def test_flags_match_the_parser():
+    # every flag the README names exists, and every flag the CLI has is named
+    text = README.read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text)) - {"--no-build-isolation"}
+    (commands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    flags = {
+        flag
+        for command in commands.choices.values()
+        for action in command._actions
+        for flag in action.option_strings
+        if flag.startswith("--")
+    }
+    assert named - {"--help"} == flags - {"--help"}

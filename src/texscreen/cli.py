@@ -37,7 +37,6 @@ from .evaluation import (
     feature_tables,
     loocv,
     report_to_json,
-    report_to_table,
     resolution_sweep,
     sweep_to_json,
     sweep_to_table,
@@ -93,7 +92,7 @@ def _path(text: str) -> str:
     return text
 
 
-_EVAL_SIZE = _int_range(3)  # LBP needs at least 3x3 pixels
+_EVAL_SIZE = _int_range(3)  # every size flag's floor: LBP needs at least 3x3 pixels
 
 
 def _resolution_list(text: str) -> list[Resolution]:
@@ -133,21 +132,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     output_flags = argparse.ArgumentParser(add_help=False)
     output_flags.add_argument("--out", type=_path, help="output path (default: stdout)")
-    output_flags.add_argument(
-        "--format", choices=("json", "table"), default="json", help="report format"
-    )
 
     p_extract = sub.add_parser(
         "extract",
-        parents=[manifest_flags],
+        parents=[manifest_flags, output_flags],
         help="write one feature line per manifest entry",
     )
     p_extract.add_argument(
         "--kind", choices=[k.value for k in FeatureKind], default="lbp"
     )
-    p_extract.add_argument("--width", type=_int_range(1), default=DEFAULT_RESOLUTION.width)
-    p_extract.add_argument("--height", type=_int_range(1), default=DEFAULT_RESOLUTION.height)
-    p_extract.add_argument("--out", type=_path, help="output path (default: stdout)")
+    p_extract.add_argument("--width", type=_EVAL_SIZE, default=DEFAULT_RESOLUTION.width)
+    p_extract.add_argument("--height", type=_EVAL_SIZE, default=DEFAULT_RESOLUTION.height)
 
     p_loocv = sub.add_parser(
         "loocv",
@@ -170,6 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_resolution_list,
         default=None,
         help="comma-separated WIDTHxHEIGHT list (default: the 4:3 grid 50x37..300x225)",
+    )
+    p_sweep.add_argument(
+        "--format", choices=("json", "table"), default="json", help="report format"
     )
 
     p_synth = sub.add_parser(
@@ -230,11 +228,7 @@ def _cmd_loocv(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.manifest, args.group)
     cfg = SolverConfig(c=args.c)
     report = loocv(dataset, FeatureKind(args.kind), Resolution(args.width, args.height), cfg)
-    if args.format == "json":
-        text = report_to_json(report)
-    else:
-        text = report_to_table(report)
-    _write_text(args.out, text)
+    _write_text(args.out, report_to_json(report))
     _warn_pass_cap([report], cfg)
     return EXIT_OK
 
@@ -273,11 +267,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "extract" and args.kind != FeatureKind.GRAY.value:
-        if args.width < 3 or args.height < 3:
-            parser.error(f"--kind {args.kind} needs --width and --height of at least 3")
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except OSError as exc:

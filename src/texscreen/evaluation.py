@@ -13,8 +13,6 @@ by kind. Accuracies are kept as exact integer ratios; rendering to percent
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -249,28 +247,6 @@ def report_to_json(report: EvalReport) -> str:
         "misclassified_ids": list(report.misclassified_ids),
     }
     return json.dumps(obj, indent=2) + "\n"
-
-
-def report_to_table(report: EvalReport) -> str:
-    """One-row comma-separated summary of an evaluation report."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["kind", "n", "correct", "global", "normal", "adulterated", "misclassified"]
-    )
-    per_class = _per_class(report)
-    writer.writerow(
-        [
-            report.feature_kind.value,
-            report.n,
-            report.correct,
-            render_percent(report.correct, report.n),
-            per_class["normal"]["percent"] or "",
-            per_class["adulterated"]["percent"] or "",
-            ";".join(report.misclassified_ids),
-        ]
-    )
-    return buf.getvalue()
 
 
 def sweep_to_json(sweep: dict[Resolution, dict[FeatureKind, EvalReport]]) -> str:

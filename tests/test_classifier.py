@@ -22,7 +22,13 @@ from conftest import (
     solve_folds_reference,
     train_on_all,
 )
-from texscreen.classifier import _TOLERANCE, SolverConfig, projected_gradient, solve_folds
+from texscreen.classifier import (
+    _TOLERANCE,
+    SolverConfig,
+    _null_direction,
+    projected_gradient,
+    solve_folds,
+)
 from texscreen.dataset import generate_synthetic
 from texscreen.evaluation import _predicted_label, feature_tables
 from texscreen.features import FeatureKind
@@ -290,6 +296,14 @@ class TestSolver:
         assert ((sol.alpha >= 0.0) & (sol.alpha <= 1.0)).all()
         assert np.isfinite(sol.margins).all() and np.isfinite(sol.bias).all()
         assert (fold_violations(y, sol, 1.0)[sol.converged] <= 1e-6).all()
+
+    def test_null_direction_without_descent_is_a_null_vector(self):
+        # a zero gradient has no part outside the range of Q_FF, so the step
+        # goes along a null vector instead
+        face = np.array([[1.0, 1.0], [1.0, 1.0]])
+        direction = _null_direction(face, np.zeros(2))
+        assert np.abs(face @ direction).max() <= 1e-15
+        assert 0.5 <= np.abs(direction).max() < 1.0
 
     @pytest.mark.kernel_independent
     def test_subnormal_diagonal_takes_the_zero_row_step(self):

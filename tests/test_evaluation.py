@@ -14,7 +14,6 @@ from texscreen.evaluation import (
     loocv,
     render_percent,
     report_to_json,
-    report_to_table,
     resolution_sweep,
     sweep_to_json,
     sweep_to_table,
@@ -58,6 +57,10 @@ class TestRenderPercent:
         assert render_percent(39, 40) == "97.5%"
         # 1/16 = 6.25% rounds up to 6.3%
         assert render_percent(1, 16) == "6.3%"
+
+    def test_empty_class_has_no_percent(self):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            render_percent(1, 0)
 
 
 class TestBuildReport:
@@ -250,6 +253,10 @@ class TestSweep:
         with pytest.raises(ValueError, match="duplicate"):
             resolution_sweep(data, [Resolution(8, 8), Resolution(8, 8)])
 
+    def test_empty_resolution_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one resolution is required"):
+            resolution_sweep(_tiny_dataset(), [])
+
     def test_default_grid_pairs(self):
         expected = [
             (50, 37), (75, 56), (100, 75), (125, 94), (150, 113), (175, 131),
@@ -277,12 +284,6 @@ class TestSerialization:
         assert obj["per_class"]["normal"]["percent"] == "95.8%"
         assert obj["per_class"]["adulterated"]["percent"] == "97.1%"
         assert obj["confusion"] == [[23, 1], [1, 34]]
-
-    def test_report_table_row(self):
-        report = report_from_confusion(20, 0, 1, 19)
-        lines = report_to_table(report).splitlines()
-        assert lines[0].startswith("kind,n,correct")
-        assert "97.5%" in lines[1] and "100.0%" in lines[1] and "95.0%" in lines[1]
 
 
 # both ways a leave-one-out run starts; each checks LOOCV's preconditions

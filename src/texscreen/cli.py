@@ -133,27 +133,21 @@ def build_parser() -> argparse.ArgumentParser:
     output_flags = argparse.ArgumentParser(add_help=False)
     output_flags.add_argument("--out", type=_path, help="output path (default: stdout)")
 
-    p_extract = sub.add_parser(
+    feature_flags = argparse.ArgumentParser(add_help=False)
+    feature_flags.add_argument("--kind", choices=[k.value for k in FeatureKind], default="lbp")
+    feature_flags.add_argument("--width", type=_EVAL_SIZE, default=DEFAULT_RESOLUTION.width)
+    feature_flags.add_argument("--height", type=_EVAL_SIZE, default=DEFAULT_RESOLUTION.height)
+
+    sub.add_parser(
         "extract",
-        parents=[manifest_flags, output_flags],
+        parents=[manifest_flags, feature_flags, output_flags],
         help="write one feature line per manifest entry",
     )
-    p_extract.add_argument(
-        "--kind", choices=[k.value for k in FeatureKind], default="lbp"
-    )
-    p_extract.add_argument("--width", type=_EVAL_SIZE, default=DEFAULT_RESOLUTION.width)
-    p_extract.add_argument("--height", type=_EVAL_SIZE, default=DEFAULT_RESOLUTION.height)
-
-    p_loocv = sub.add_parser(
+    sub.add_parser(
         "loocv",
-        parents=[manifest_flags, solver_flags, output_flags],
+        parents=[manifest_flags, feature_flags, solver_flags, output_flags],
         help="leave-one-out evaluation at one resolution",
     )
-    p_loocv.add_argument(
-        "--kind", choices=[k.value for k in FeatureKind], default="lbp"
-    )
-    p_loocv.add_argument("--width", type=_EVAL_SIZE, default=DEFAULT_RESOLUTION.width)
-    p_loocv.add_argument("--height", type=_EVAL_SIZE, default=DEFAULT_RESOLUTION.height)
 
     p_sweep = sub.add_parser(
         "sweep",
@@ -163,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--resolutions",
         type=_resolution_list,
-        default=None,
+        default=DEFAULT_SWEEP_RESOLUTIONS,
         help="comma-separated WIDTHxHEIGHT list (default: the 4:3 grid 50x37..300x225)",
     )
     p_sweep.add_argument(
@@ -235,9 +229,8 @@ def _cmd_loocv(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.manifest, args.group)
-    resolutions = args.resolutions if args.resolutions else DEFAULT_SWEEP_RESOLUTIONS
     cfg = SolverConfig(c=args.c)
-    sweep = resolution_sweep(dataset, resolutions, cfg)
+    sweep = resolution_sweep(dataset, args.resolutions, cfg)
     if args.format == "json":
         text = sweep_to_json(sweep)
     else:

@@ -152,9 +152,18 @@ class SplitMix64:
         return z
 
 
+def _csv_fields(line: str, lineno: int) -> list[str]:
+    """The csv fields of one manifest line; a csv defect is a ManifestError."""
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as exc:
+        raise ManifestError(str(exc), lineno) from None
+
+
 def load_manifest(data: bytes | str) -> LabeledDataset:
-    """Parse manifest text into image-less entries, reporting defects with
-    their line number."""
+    """Parse manifest text into image-less entries, reporting defects, csv's
+    own too (such as a field longer than csv.field_size_limit()), as
+    ManifestErrors with their line number."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -168,7 +177,7 @@ def load_manifest(data: bytes | str) -> LabeledDataset:
         lines.pop()
     if not lines:
         raise ManifestError("missing header", 1)
-    header = tuple(next(csv.reader([lines[0]])))
+    header = tuple(_csv_fields(lines[0], 1))
     if header != MANIFEST_HEADER:
         raise ManifestError(
             f"header must be {','.join(MANIFEST_HEADER)!r}, got {lines[0]!r}", 1
@@ -178,7 +187,7 @@ def load_manifest(data: bytes | str) -> LabeledDataset:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        fields = next(csv.reader([line]))
+        fields = _csv_fields(line, lineno)
         if len(fields) != 4:
             raise ManifestError(f"expected 4 fields, got {len(fields)}", lineno)
         sample_id, path, label_token, group_token = fields
@@ -204,15 +213,19 @@ def load_manifest(data: bytes | str) -> LabeledDataset:
 def serialize_manifest(dataset: LabeledDataset) -> str:
     """Render manifest text; load_manifest(serialize_manifest(d)) == d when
     d's entries carry no image. An entry with an empty path, a NUL in its
-    path or a CR or LF (which end a line) in its id or path raises
+    path, a CR or LF (which end a line) in its id or path, or an id or path
+    longer than csv.field_size_limit() (which load_manifest rejects) raises
     ValueError."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(MANIFEST_HEADER)
+    limit = csv.field_size_limit()
     for e in dataset.entries:
-        if not e.path or "\0" in e.path or _LINE_BREAK.search(e.sample_id + e.path):
+        too_long = max(len(e.sample_id), len(e.path)) > limit
+        if not e.path or "\0" in e.path or _LINE_BREAK.search(e.sample_id + e.path) or too_long:
             raise ValueError(
-                f"entry {e.sample_id!r} cannot be written: empty path, NUL in path, or CR/LF"
+                f"entry {e.sample_id!r} cannot be written: empty path, NUL in path, "
+                f"CR/LF, or a field longer than {limit} characters"
             )
         writer.writerow([e.sample_id, e.path, LABEL_NAMES[e.label], str(e.group)])
     return buf.getvalue()

@@ -41,7 +41,7 @@ DEFAULT_SWEEP_RESOLUTIONS = tuple(
         (300, 225),
     )
 )
-DEFAULT_RESOLUTION = Resolution(300, 225)
+DEFAULT_RESOLUTION = DEFAULT_SWEEP_RESOLUTIONS[-1]
 SWEEP_KINDS = (FeatureKind.LBP, FeatureKind.GRAY, FeatureKind.CONCAT)
 
 

@@ -26,6 +26,7 @@ from texscreen.cli import (
     build_parser,
     main,
 )
+from texscreen.evaluation import DEFAULT_SWEEP_RESOLUTIONS
 
 
 def _synth(tmp_path, per_class=3, width=16, height=12, seed=5):
@@ -233,6 +234,19 @@ class TestExtractAnyManifest:
 
 
 class TestSweepCommand:
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_default_grid_is_the_sweep_resolutions(self, tmp_path, fmt):
+        bench = _synth(tmp_path)
+        grid = ",".join(f"{r.width}x{r.height}" for r in DEFAULT_SWEEP_RESOLUTIONS)
+        assert len(DEFAULT_SWEEP_RESOLUTIONS) == 11
+        outputs = []
+        for extra in ([], ["--resolutions", grid]):
+            out = tmp_path / f"sweep{len(outputs)}"
+            argv = ["sweep", "--manifest", str(bench / "manifest.csv"), "--format", fmt]
+            assert main(argv + extra + ["--out", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_table_format(self, tmp_path):
         bench = _synth(tmp_path)
         out = tmp_path / "sweep.csv"
@@ -342,10 +356,20 @@ class TestFailurePaths:
 
     def test_malformed_manifest_exits_invalid_data(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.csv"
-        manifest.write_text("id,path,label,group\na,x.pgm,fresh,1\n")
-        code = main(["loocv", "--manifest", str(manifest)])
-        assert code == EXIT_INVALID_DATA
-        assert "fresh" in capsys.readouterr().err
+        overlong = "a" * 131073  # one past csv.field_size_limit()
+        cases = [
+            ("id,path,label,group\na,x.pgm,fresh,1\n", "unknown label 'fresh' (line 2)"),
+            (overlong + "\n", "field larger than field limit (131072) (line 1)"),
+            (
+                f"id,path,label,group\n{overlong},x.pgm,normal,1\n",
+                "field larger than field limit (131072) (line 2)",
+            ),
+        ]
+        for text, reason in cases:
+            manifest.write_text(text)
+            code = main(["loocv", "--manifest", str(manifest)])
+            assert code == EXIT_INVALID_DATA
+            assert capsys.readouterr().err == f"texscreen: invalid data: {reason}\n"
 
     def test_corrupt_image_exits_invalid_data(self, tmp_path, capsys):
         (tmp_path / "bad.pgm").write_bytes(b"P5 2 2 255\n\x00")  # truncated

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import re
 from dataclasses import fields, replace
@@ -116,6 +117,21 @@ class TestLoadManifest:
             load_manifest("id,path,label,group\na,x.pgm,normal,1\nb,y\0.pgm,normal,1\n")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("a" * 131073 + "\n", 1),
+            ("id,path,label,group\n" + "a" * 131073 + ",x.pgm,normal,1\n", 2),
+        ],
+        ids=["header", "entry"],
+    )
+    def test_overlong_field_names_line(self, text, line):
+        # csv.field_size_limit() is 131072 characters
+        with pytest.raises(ManifestError) as err:
+            load_manifest(text)
+        assert str(err.value) == f"field larger than field limit (131072) (line {line})"
+        assert err.value.line == line
+
     def test_roundtrip_identity(self):
         manifest = _table_shaped_manifest()
         assert load_manifest(serialize_manifest(manifest)) == manifest
@@ -155,13 +171,20 @@ class TestLoadManifest:
     @example([("a", "", 1, 1)])
     @example([("a\nb", "x.pgm", 1, 1)])
     @example([("a", "x\ny.pgm", 1, 1)])
+    @example([("a" * 131073, "x.pgm", 1, 1)])
     def test_serialize_raises_or_roundtrips(self, rows):
-        # empty paths, NULs, CRs and LFs are drawn too: text cannot hold them
+        # empty paths, NULs, CRs and LFs are drawn too: text cannot hold them;
+        # nor can load_manifest read back a field beyond csv's size limit
         manifest = LabeledDataset(
             tuple(DatasetEntry(i, None, label, group, path) for i, path, label, group in rows)
         )
         unwritable = [
-            i for i, path, _, _ in rows if not path or "\0" in path or set("\r\n") & set(i + path)
+            i
+            for i, path, _, _ in rows
+            if not path
+            or "\0" in path
+            or set("\r\n") & set(i + path)
+            or max(len(i), len(path)) > csv.field_size_limit()
         ]
         if unwritable:
             first = re.escape(repr(unwritable[0]))

@@ -25,7 +25,10 @@ The folds are solved in three steps:
    alpha steps toward it until a free variable meets its bound, which is
    then held. The problem on every sample is solved first, from
    alpha = C. Each fold starts from that solution with its held-out alpha
-   set to 0 ("alpha seeding", DeCoste & Wagstaff 2000).
+   set to 0 ("alpha seeding", DeCoste & Wagstaff 2000). The folds advance
+   in lockstep rounds, each making one change of its free set per round;
+   a round groups the faces by size k and solves each group's k x k faces
+   in one stacked call, which rounds as each fold's own solve would.
 3. The final alpha from the final partition. A fold's alpha_F is the
    solve of its final partition, so its bits depend on that partition
    alone, not on the warm start or on other folds. One more projected-
@@ -166,13 +169,12 @@ def solve_folds(
     if rest.size:
         changes = cfg.max_outer_iterations - 1
         # the problem on every sample, from alpha = C, seeds each fold
-        seed, seed_free = np.full(n, c), np.zeros(n, dtype=bool)
-        _active_set(q, seed, np.full(n, c), seed_free, changes, tolerance)
-        for f in rest:
-            start, free = seed.copy(), seed_free.copy()
-            start[f], free[f] = 0.0, False
-            passes[f] += _active_set(q, start, bounds[f], free, changes, tolerance)
-            alpha[f] = start
+        seed, seed_free = np.full((1, n), c), np.zeros((1, n), dtype=bool)
+        _active_set(q, seed, np.full((1, n), c), seed_free, changes, tolerance)
+        upper = bounds[rest]
+        start, free = np.where(upper > 0.0, seed, 0.0), seed_free & (upper > 0.0)
+        passes[rest] += _active_set(q, start, upper, free, changes, tolerance)
+        alpha[rest] = start
         grad[rest] = np.matmul(alpha[rest, None, :], q)[:, 0, :]
         violation = projected_gradient(grad[rest] - 1.0, alpha[rest], bounds[rest])
         converged[rest] = violation <= tolerance
@@ -188,52 +190,87 @@ def _active_set(
     free: np.ndarray,
     changes: int,
     tolerance: float,
-) -> int:
-    """Primal active set for min 1/2 a'Qa - 1'a over 0 <= a <= `upper`.
+) -> np.ndarray:
+    """Primal active set for min 1/2 a'Qa - 1'a over 0 <= a <= `upper`, for
+    each row of the (m, n) arrays, all rows in lockstep rounds.
 
-    Moves the feasible `alpha`, whose variables outside `free` sit at a
-    bound, and `free` in place, with at most `changes` changes of the free
-    set. Returns the number of changes made.
+    Moves each row of the feasible `alpha`, whose variables outside `free`
+    sit at a bound, and of `free` in place, with at most `changes` changes
+    of its free set. Returns the number of changes each row made. A round
+    solves the faces of each free-set size in one stacked call.
     """
-    used = 0
-    while True:
-        if free.any():
-            rows = q[free]
-            face = rows[:, free]
-            try:
-                target = np.linalg.solve(face, 1.0 - rows @ np.where(free, 0.0, alpha))
-            except np.linalg.LinAlgError:  # an exactly singular Q_FF
-                target = None
-            if target is None or not ((target >= 0.0) & (target <= upper[free])).all():
-                if used == changes:
-                    return used
-                with np.errstate(over="ignore"):  # an overflowed step fails `_flat`
-                    direction = None if target is None else target - alpha[free]
-                if direction is None or _flat(face, direction):
-                    direction = _null_direction(face, rows @ alpha - 1.0)
-                _step_to_bound(alpha, upper, free, direction)
-                used += 1
+    used = np.zeros(len(alpha), dtype=np.int64)
+    live = np.ones(len(alpha), dtype=bool)
+    while live.any():
+        rows = np.flatnonzero(live)
+        count = free[rows].sum(axis=1)
+        release = []
+        for k in np.flatnonzero(np.bincount(count)):
+            g = rows[count == k]
+            if k == 0:
+                release.append(g)
                 continue
-            alpha[free] = target
-        # the minimiser over the free variables: release the bound variable
-        # whose gradient points furthest into the box
-        g = alpha @ q - 1.0
-        violation = np.maximum(g * (alpha > 0.0), -g * (alpha < upper))
-        violation[free] = 0.0
-        j = int(violation.argmax())
-        if violation[j] <= tolerance or used == changes:
-            return used
-        free[j] = True
-        used += 1
+            idx = np.nonzero(free[g])[1].reshape(-1, k)
+            faces = q[idx[:, :, None], idx[:, None, :]]
+            rhs = 1.0 - np.matmul(q[idx], np.where(free[g], 0.0, alpha[g])[:, :, None])[:, :, 0]
+            target = _solve(faces, rhs)
+            a, u = alpha[g[:, None], idx], upper[g[:, None], idx]
+            inside = ((target >= 0.0) & (target <= u)).all(axis=1)
+            alpha[g[inside, None], idx[inside]] = target[inside]
+            release.append(g[inside])
+            capped = ~inside & (used[g] == changes)
+            live[g[capped]] = False
+            step = ~(inside | capped)
+            if not step.any():
+                continue
+            g, idx, faces, a, u = g[step], idx[step], faces[step], a[step], u[step]
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowed step is flat
+                direction = target[step] - a
+                # flat, (almost) no curvature along it: a singular Q_FF's solve
+                # returned rounding blown up along its null space, need not descend
+                row, col = direction[:, None, :], direction[:, :, None]
+                curvature = np.matmul(np.matmul(row, faces), col)[:, 0, 0]
+                length = np.matmul(row, col)[:, 0, 0]
+                largest = faces.diagonal(axis1=1, axis2=2).max(axis=1)
+                flat = ~(curvature > _SINGULAR * largest * length)
+            for i in np.flatnonzero(flat):
+                direction[i] = _null_direction(faces[i], q[idx[i]] @ alpha[g[i]] - 1.0)
+            # move along it until the first free variable meets its bound,
+            # which then leaves the free set
+            falls, rises = direction < 0.0, direction > 0.0
+            ratio = np.full(direction.shape, np.inf)
+            with np.errstate(over="ignore"):
+                ratio[falls] = a[falls] / -direction[falls]
+                ratio[rises] = (u[rises] - a[rises]) / direction[rises]
+            at, j = np.arange(len(g)), ratio.argmin(axis=1)
+            a = np.clip(a + ratio[at, j, None] * direction, 0.0, u)
+            a[at, j] = np.where(rises[at, j], u[at, j], 0.0)
+            alpha[g[:, None], idx] = a
+            free[g, idx[at, j]] = False
+            used[g] += 1
+        # at the minimiser over the free variables: release the bound
+        # variable whose gradient points furthest into the box
+        g = np.concatenate(release)
+        grad = np.matmul(alpha[g, None, :], q)[:, 0, :] - 1.0
+        violation = np.maximum(grad * (alpha[g] > 0.0), -grad * (alpha[g] < upper[g]))
+        violation[free[g]] = 0.0
+        j = violation.argmax(axis=1)
+        done = (violation.max(axis=1) <= tolerance) | (used[g] == changes)
+        live[g[done]] = False
+        free[g[~done], j[~done]] = True
+        used[g[~done]] += 1
+    return used
 
 
-def _flat(face: np.ndarray, direction: np.ndarray) -> bool:
-    """Whether Q_FF has (almost) no curvature along `direction`: then a
-    solve of a singular Q_FF returned rounding blown up along its null
-    space, a step that need not even descend."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        curvature = direction @ face @ direction
-        return not curvature > _SINGULAR * face.diagonal().max() * (direction @ direction)
+def _solve(faces: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Each face's solve of Q_FF alpha_F = `rhs`, NaN for an exactly singular
+    one, which fails the box test and takes `_null_direction`."""
+    try:
+        return np.linalg.solve(faces, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # a singular face fails its stack: solve one by one
+        if len(faces) == 1:
+            return np.full(rhs.shape, np.nan)
+        return np.concatenate([_solve(faces[i : i + 1], rhs[i : i + 1]) for i in range(len(faces))])
 
 
 def _null_direction(face: np.ndarray, gradient: np.ndarray) -> np.ndarray:
@@ -251,24 +288,6 @@ def _null_direction(face: np.ndarray, gradient: np.ndarray) -> np.ndarray:
     # cannot overflow; the step uses it only up to scale and rounds alike
     direction = np.ldexp(direction, -np.frexp(np.abs(direction).max())[1])
     return -direction if gradient @ direction > 0.0 else direction
-
-
-def _step_to_bound(
-    alpha: np.ndarray, upper: np.ndarray, free: np.ndarray, direction: np.ndarray
-) -> None:
-    """Move the free variables along `direction` until the first meets its
-    bound, which then leaves the free set."""
-    index = np.flatnonzero(free)
-    a, u = alpha[index], upper[index]
-    ratio = np.full(index.size, np.inf)
-    falls, rises = direction < 0.0, direction > 0.0
-    with np.errstate(over="ignore"):
-        ratio[falls] = a[falls] / -direction[falls]
-        ratio[rises] = (u[rises] - a[rises]) / direction[rises]
-    k = int(ratio.argmin())
-    alpha[index] = np.clip(a + ratio[k] * direction, 0.0, u)
-    alpha[index[k]] = u[k] if rises[k] else 0.0
-    free[index[k]] = False
 
 
 def _bias_from_margins(

@@ -153,7 +153,10 @@ class SplitMix64:
 
 
 def _csv_fields(line: str, lineno: int) -> list[str]:
-    """The csv fields of one manifest line; a csv defect is a ManifestError."""
+    """The csv fields of one manifest line; a NUL, which csv reads only from
+    Python 3.11 on, or a csv defect is a ManifestError."""
+    if "\0" in line:
+        raise ManifestError("line contains a NUL character", lineno)
     try:
         return next(csv.reader([line]))
     except csv.Error as exc:
@@ -161,9 +164,9 @@ def _csv_fields(line: str, lineno: int) -> list[str]:
 
 
 def load_manifest(data: bytes | str) -> LabeledDataset:
-    """Parse manifest text into image-less entries, reporting defects, csv's
-    own too (such as a field longer than csv.field_size_limit()), as
-    ManifestErrors with their line number."""
+    """Parse manifest text into image-less entries, reporting defects, a NUL
+    anywhere and csv's own too (such as a field longer than
+    csv.field_size_limit()), as ManifestErrors with their line number."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -193,8 +196,6 @@ def load_manifest(data: bytes | str) -> LabeledDataset:
         sample_id, path, label_token, group_token = fields
         if not path:
             raise ManifestError("missing path", lineno)
-        if "\0" in path:
-            raise ManifestError("path contains a NUL character", lineno)
         if label_token not in LABEL_VALUES:
             raise ManifestError(f"unknown label {label_token!r}", lineno)
         if group_token not in ("1", "2"):
@@ -212,19 +213,19 @@ def load_manifest(data: bytes | str) -> LabeledDataset:
 
 def serialize_manifest(dataset: LabeledDataset) -> str:
     """Render manifest text; load_manifest(serialize_manifest(d)) == d when
-    d's entries carry no image. An entry with an empty path, a NUL in its
-    path, a CR or LF (which end a line) in its id or path, or an id or path
-    longer than csv.field_size_limit() (which load_manifest rejects) raises
-    ValueError."""
+    d's entries carry no image. An entry this text cannot hold raises
+    ValueError: an empty path, a NUL, CR or LF (which end a line) in its id
+    or path, or an id or path longer than csv.field_size_limit()."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(MANIFEST_HEADER)
     limit = csv.field_size_limit()
     for e in dataset.entries:
         too_long = max(len(e.sample_id), len(e.path)) > limit
-        if not e.path or "\0" in e.path or _LINE_BREAK.search(e.sample_id + e.path) or too_long:
+        text = e.sample_id + e.path
+        if not e.path or "\0" in text or _LINE_BREAK.search(text) or too_long:
             raise ValueError(
-                f"entry {e.sample_id!r} cannot be written: empty path, NUL in path, "
+                f"entry {e.sample_id!r} cannot be written: empty path, NUL, "
                 f"CR/LF, or a field longer than {limit} characters"
             )
         writer.writerow([e.sample_id, e.path, LABEL_NAMES[e.label], str(e.group)])

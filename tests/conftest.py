@@ -8,6 +8,8 @@ per-fold dual solver the batched one replaced. `solve_folds_reference` is
 the batched coordinate-descent pass loop the exact solver replaced: run to
 a tight tolerance it is the exact solver's oracle, and a fold it ends at
 its box corner after one pass the exact solver must match bit for bit.
+`solve_folds_per_fold` is the exact solver with one active set per fold,
+which the lockstep rounds replaced: it must match them bit for bit.
 `train_on_all` and `report_from_confusion` are no oracles: they call the
 library.
 """
@@ -23,10 +25,12 @@ import pytest
 
 import texscreen
 from texscreen.classifier import (
+    _SINGULAR,
     _TOLERANCE,
     FoldSolutions,
     SolverConfig,
     _bias_from_margins as fold_bias,
+    _null_direction,
     projected_gradient as stop_value,
     solve_folds,
 )
@@ -327,6 +331,115 @@ def solve_folds_reference(features, labels, held_out, cfg=SolverConfig(), tolera
     margins = final_grad * y
     bias = fold_bias(y, final_alpha, margins, bounds)
     return FoldSolutions(final_alpha, margins, bias, passes, converged)
+
+
+def solve_folds_per_fold(features, labels, cfg=SolverConfig()):
+    """`solve_folds` with one active set per fold, run one fold after
+    another from the all-sample seed."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    n = x.shape[0]
+    c = cfg.c
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = (x @ x.T) * np.outer(y, y)
+        scale = c * np.abs(q).sum(axis=1).max()
+    tolerance = _TOLERANCE + np.finfo(np.float64).eps * scale
+    bounds = np.full((n, n), c)
+    np.fill_diagonal(bounds, 0.0)
+    alpha = bounds.copy()
+    grad = np.matmul(alpha[:, None, :], q)[:, 0, :]
+    converged = stop_value(grad - 1.0, alpha, bounds) <= tolerance
+    passes = np.ones(n, dtype=np.int64)
+    rest = np.flatnonzero(~converged)
+    if rest.size:
+        changes = cfg.max_outer_iterations - 1
+        seed, seed_free = np.full(n, c), np.zeros(n, dtype=bool)
+        _active_set(q, seed, np.full(n, c), seed_free, changes, tolerance)
+        for f in rest:
+            start, free = seed.copy(), seed_free.copy()
+            start[f], free[f] = 0.0, False
+            passes[f] += _active_set(q, start, bounds[f], free, changes, tolerance)
+            alpha[f] = start
+        grad[rest] = np.matmul(alpha[rest, None, :], q)[:, 0, :]
+        violation = stop_value(grad[rest] - 1.0, alpha[rest], bounds[rest])
+        converged[rest] = violation <= tolerance
+    margins = grad * y
+    bias = fold_bias(y, alpha, margins, bounds)
+    return FoldSolutions(alpha, margins, bias, passes, converged)
+
+
+def _active_set(
+    q: np.ndarray,
+    alpha: np.ndarray,
+    upper: np.ndarray,
+    free: np.ndarray,
+    changes: int,
+    tolerance: float,
+) -> int:
+    """Primal active set for min 1/2 a'Qa - 1'a over 0 <= a <= `upper`.
+
+    Moves the feasible `alpha`, whose variables outside `free` sit at a
+    bound, and `free` in place, with at most `changes` changes of the free
+    set. Returns the number of changes made.
+    """
+    used = 0
+    while True:
+        if free.any():
+            rows = q[free]
+            face = rows[:, free]
+            try:
+                target = np.linalg.solve(face, 1.0 - rows @ np.where(free, 0.0, alpha))
+            except np.linalg.LinAlgError:  # an exactly singular Q_FF
+                target = None
+            if target is None or not ((target >= 0.0) & (target <= upper[free])).all():
+                if used == changes:
+                    return used
+                with np.errstate(over="ignore"):  # an overflowed step fails `_flat`
+                    direction = None if target is None else target - alpha[free]
+                if direction is None or _flat(face, direction):
+                    direction = _null_direction(face, rows @ alpha - 1.0)
+                _step_to_bound(alpha, upper, free, direction)
+                used += 1
+                continue
+            alpha[free] = target
+        # the minimiser over the free variables: release the bound variable
+        # whose gradient points furthest into the box
+        g = alpha @ q - 1.0
+        violation = np.maximum(g * (alpha > 0.0), -g * (alpha < upper))
+        violation[free] = 0.0
+        j = int(violation.argmax())
+        if violation[j] <= tolerance or used == changes:
+            return used
+        free[j] = True
+        used += 1
+
+
+def _flat(face: np.ndarray, direction: np.ndarray) -> bool:
+    """Whether Q_FF has (almost) no curvature along `direction`: then a
+    solve of a singular Q_FF returned rounding blown up along its null
+    space, a step that need not even descend."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        curvature = direction @ face @ direction
+        return not curvature > _SINGULAR * face.diagonal().max() * (direction @ direction)
+
+
+def _step_to_bound(
+    alpha: np.ndarray, upper: np.ndarray, free: np.ndarray, direction: np.ndarray
+) -> None:
+    """Move the free variables along `direction` until the first meets its
+    bound, which then leaves the free set."""
+    index = np.flatnonzero(free)
+    a, u = alpha[index], upper[index]
+    ratio = np.full(index.size, np.inf)
+    falls, rises = direction < 0.0, direction > 0.0
+    with np.errstate(over="ignore"):
+        ratio[falls] = a[falls] / -direction[falls]
+        ratio[rises] = (u[rises] - a[rises]) / direction[rises]
+    k = int(ratio.argmin())
+    alpha[index] = np.clip(a + ratio[k] * direction, 0.0, u)
+    alpha[index[k]] = u[k] if rises[k] else 0.0
+    free[index[k]] = False
+
 
 
 def best_linear_accuracy_2d(points, labels):

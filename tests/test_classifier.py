@@ -19,6 +19,7 @@ from conftest import (
     loocv_reference,
     max_margin_separator_2d,
     random_separable_set,
+    solve_folds_per_fold,
     solve_folds_reference,
     train_on_all,
 )
@@ -130,6 +131,21 @@ def _scaled_tables(draw):
     x = rows[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="which")]
     y = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n), label="y"))
     return x, y, draw(st.floats(-3.0, 308.25).map(lambda e: 10.0**e), label="c")
+
+
+@st.composite
+def _few_valued_tables(draw):
+    """Features of few distinct values, so zero and duplicate rows and
+    singular faces are common, with C from 0.01 to 1e4 and caps of 1, 2 and
+    1000 KKT checks."""
+    n = draw(st.integers(2, 12), label="n")
+    d = draw(st.integers(1, 6), label="d")
+    values = st.sampled_from([0.0, 0.5, -1.0, 2.0])
+    x = draw(hnp.arrays(np.float64, (n, d), elements=values), label="x")
+    y = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n), label="y"))
+    c = st.sampled_from([0.01, 1.0, 10.0, 1e4]) | st.floats(-2.0, 4.0).map(lambda e: 10.0**e)
+    cap = st.sampled_from([1, 2, 1000])
+    return x, y, SolverConfig(c=draw(c, label="c"), max_outer_iterations=draw(cap, label="cap"))
 
 
 def _random_problem(rng, n, d):
@@ -400,6 +416,27 @@ class TestSolver:
         for field in SOLUTION_FIELDS:
             got_rows, want_rows = getattr(got, field)[corner], getattr(want, field)[corner]
             assert got_rows.tobytes() == want_rows.tobytes(), field
+
+    @pytest.mark.kernel_independent
+    @settings(max_examples=300, deadline=None)
+    @given(_few_valued_tables())
+    # one round stacks two 2 x 2 faces, one singular (samples 1 and 2 are
+    # equal with opposite labels) and one regular, so the stacked solve
+    # fails and each face is solved alone
+    @example(
+        (
+            np.array([[2.0, 0.0], [0.5, 2.0], [0.5, 2.0], [-1.0, 0.0], [0.0, 0.5]]),
+            np.array([-1, -1, 1, 1, 1]),
+            SolverConfig(c=10.0),
+        )
+    )
+    def test_lockstep_bytes_match_per_fold(self, table):
+        # the folds' lockstep rounds make the LAPACK solves and products of
+        # one active set per fold, so they end in the same bits
+        x, y, cfg = table
+        got, want = solve_folds(x, y, cfg), solve_folds_per_fold(x, y, cfg)
+        for field in SOLUTION_FIELDS:
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
     @pytest.mark.kernel_independent
     def test_frozen_solutions_pinned(self, frozen_oracle):

@@ -521,7 +521,7 @@ class TestFailurePaths:
         code = main(["loocv", "--manifest", str(manifest)])
         assert code == EXIT_INVALID_DATA
         assert capsys.readouterr().err == (
-            "texscreen: invalid data: path contains a NUL character (line 3)\n"
+            "texscreen: invalid data: line contains a NUL character (line 3)\n"
         )
 
     def test_out_of_memory_exits_processing(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Every public symbol has a caller inside the package itself."""
+"""Every public symbol, and every private top-level function, has a caller
+inside the package itself."""
 
 import ast
 from pathlib import Path
@@ -11,13 +12,14 @@ MODULES = {
 }
 
 
-def _referenced_names() -> set[str]:
-    """Names loaded anywhere in the package outside `__init__.py`'s re-exports."""
+def _referenced_names(skip: ast.AST | None = None) -> set[str]:
+    """Names loaded anywhere in the package outside `__init__.py`'s re-exports
+    and outside the top-level definition `skip`."""
     names = set()
     for path, tree in MODULES.items():
         if path.name == "__init__.py":
             continue
-        for node in ast.walk(tree):
+        for node in (node for top in tree.body if top is not skip for node in ast.walk(top)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -59,5 +61,19 @@ def test_every_public_method_is_used_in_the_package():
         if isinstance(node, functions)
         and not node.name.startswith("_")
         and node.name not in referenced
+    )
+    assert unused == []
+
+
+def test_every_private_function_is_called_in_the_package():
+    # a helper that only calls itself, or that only tests call, is dead code
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    unused = sorted(
+        f"{path.stem}.{node.name}"
+        for path, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, functions)
+        and node.name.startswith("_")
+        and node.name not in _referenced_names(skip=node)
     )
     assert unused == []

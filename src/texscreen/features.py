@@ -10,12 +10,15 @@ by their total so it sums to one.
 
 A feature is a plain float64 vector: 256 values for LBP or GRAY, 512 for
 CONCAT (the LBP block, then the GRAY block). The kind is an argument of the
-functions that need it, not a tag on the vector.
+functions that need it, not a tag on the vector. `extract_feature` turns
+same-size images into one feature row each with one LBP transform of the
+stacked images, since a small image's transform costs mostly fixed overhead.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -68,19 +71,39 @@ def _histogram(values: np.ndarray) -> np.ndarray:
     return counts / counts.sum()
 
 
-def extract_feature(img: GrayImage, kind: FeatureKind) -> np.ndarray:
-    """Compute the L1-normalized feature of the requested kind for one image.
+def _lbp_histograms(images: Sequence[GrayImage]) -> list[np.ndarray]:
+    """The LBP histogram of each of the same-size `images` from one
+    `lbp_transform` of their stack, top to bottom: image i's codes are code
+    rows [i*h, i*h + h - 2), as the two rows after them straddle a seam."""
+    if not images:
+        return []
+    h, w = images[0].pixels.shape
+    # checked here as well: a stack of images under 3 rows tall can pass
+    # lbp_transform's check while every one of its code rows straddles a seam
+    if h < 3 or w < 3:
+        raise ValueError("LBP needs an image of at least 3x3 pixels")
+    stack = images[0] if len(images) == 1 else GrayImage(np.vstack([img.pixels for img in images]))
+    codes = lbp_transform(stack)
+    return [_histogram(codes[i * h : i * h + h - 2]) for i in range(len(images))]
 
-    CONCAT juxtaposes the LBP block (indices 0-255) and the GRAY block
-    (256-511); each keeps its own normalization, so its total mass is two.
+
+def extract_feature(images: Sequence[GrayImage], kind: FeatureKind) -> np.ndarray:
+    """The (n, d) matrix whose row i is the L1-normalized feature of the
+    requested kind of `images[i]`; the images must share one size.
+
+    CONCAT juxtaposes the LBP block (columns 0-255) and the GRAY block
+    (256-511); each keeps its own normalization, so a row's total mass is
+    two. No images give (0, d).
     """
     kind = FeatureKind(kind)
-    if kind is FeatureKind.GRAY:
-        return _histogram(img.pixels)
-    lbp = _histogram(lbp_transform(img))
-    if kind is FeatureKind.LBP:
-        return lbp
-    return np.concatenate([lbp, _histogram(img.pixels)])
+    if len({img.pixels.shape for img in images}) > 1:
+        raise ValueError("images of one batch must share one size")
+    blocks = []
+    if kind is not FeatureKind.GRAY:
+        blocks.append(_lbp_histograms(images))
+    if kind is not FeatureKind.LBP:
+        blocks.append([_histogram(img.pixels) for img in images])
+    return np.hstack([np.reshape(b, (len(images), 256)) for b in blocks])
 
 
 def format_feature(kind: FeatureKind, values: np.ndarray) -> str:

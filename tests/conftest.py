@@ -1,7 +1,8 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles deliberately avoid the library's code paths: the LBP reference
-walks pixels one by one in pure Python, the PNM token reference walks bytes
+walks pixels one by one in pure Python, and `feature_reference` histograms
+its codes of one image at a time; the PNM token reference walks bytes
 one by one, the separator searches enumerate candidate geometries
 exhaustively, and the LOOCV reference trains one fold at a time with the
 per-fold dual solver the batched one replaced. `solve_folds_reference` is
@@ -138,6 +139,19 @@ def lbp_reference(pixels):
         out.append(row)
     return out
 
+
+
+def feature_reference(image, kind):
+    """One image's feature of `kind`: `np.bincount` histograms of its
+    `lbp_reference` codes and of its pixels, each divided by its total."""
+    pixels = image.pixels
+    blocks = []
+    if kind is not FeatureKind.GRAY:
+        codes = np.array(lbp_reference(pixels.tolist()), dtype=np.int64).ravel()
+        blocks.append(np.bincount(codes, minlength=256) / codes.size)
+    if kind is not FeatureKind.LBP:
+        blocks.append(np.bincount(pixels.ravel(), minlength=256) / pixels.size)
+    return np.concatenate(blocks)
 
 @dataclass(eq=False)
 class DualSolution:

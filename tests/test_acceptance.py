@@ -58,7 +58,7 @@ def test_criterion_2_lbp_kernel_suite():
         h, w = rng.integers(3, 24, size=2)
         img = GrayImage(rng.integers(0, 256, size=(h, w)))
         cells = (h - 2) * (w - 2)
-        counts = extract_feature(img, FeatureKind.LBP) * cells
+        counts = extract_feature([img], FeatureKind.LBP)[0] * cells
         assert np.abs(counts - np.rint(counts)).max() < 1e-9
         assert np.rint(counts).sum() == cells
 

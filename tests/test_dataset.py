@@ -434,8 +434,8 @@ class TestGenerateSynthetic:
     def test_pairs_differ_in_lbp_histogram(self, synthetic_benchmark):
         by_id = {e.sample_id: e.image for e in synthetic_benchmark.entries}
         for k in range(FROZEN_SPEC.per_class):
-            normal = extract_feature(by_id[f"normal-{k:03d}"], FeatureKind.LBP)
-            twin = extract_feature(by_id[f"adulterated-{k:03d}"], FeatureKind.LBP)
+            normal = extract_feature([by_id[f"normal-{k:03d}"]], FeatureKind.LBP)[0]
+            twin = extract_feature([by_id[f"adulterated-{k:03d}"]], FeatureKind.LBP)[0]
             assert np.abs(normal - twin).sum() > 0
 
     def test_different_seeds_differ(self):

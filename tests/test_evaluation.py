@@ -3,11 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import report_from_confusion, train_on_all
+from conftest import feature_reference, report_from_confusion, train_on_all
 from texscreen.classifier import SolverConfig
 from texscreen.dataset import DatasetEntry, LabeledDataset
 from texscreen.evaluation import (
+    _CHUNK_PIXELS,
     DEFAULT_SWEEP_RESOLUTIONS,
     _report,
     feature_tables,
@@ -167,7 +170,7 @@ class TestLoocv:
         target = Resolution(64, 48)
         for kind in (FeatureKind.LBP, FeatureKind.GRAY):
             vectors = [
-                extract_feature(resize_bilinear(e.image, target), kind)
+                extract_feature([resize_bilinear(e.image, target)], kind)[0]
                 for e in dataset.entries
             ]
             labels = [e.label for e in dataset.entries]
@@ -181,17 +184,54 @@ class TestLoocv:
 class TestFeatureTable:
     KINDS = (FeatureKind.LBP, FeatureKind.GRAY, FeatureKind.CONCAT)
 
+    # a chunk holds 35 images at 50x37, so the 40 images fill two chunks;
+    # all 40 fit in one at 7x11
     @pytest.mark.parametrize("target", [Resolution(50, 37), Resolution(7, 11)])
     def test_rows_equal_unfused_extraction(self, synthetic_benchmark, target):
         dataset = synthetic_benchmark
+        assert _CHUNK_PIXELS // (target.width * target.height) > 1
         tables = feature_tables([e.image for e in dataset.entries], self.KINDS, target)
         for kind, d in zip(self.KINDS, (256, 256, 512)):
             matrix = tables[kind]
             assert matrix.shape == (len(dataset), d)
             assert matrix.dtype == np.float64
             for row, entry in zip(matrix, dataset.entries):
-                expected = extract_feature(resize_bilinear(entry.image, target), kind)
-                assert np.array_equal(row, expected)
+                expected = feature_reference(resize_bilinear(entry.image, target), kind)
+                assert row.tobytes() == expected.tobytes()
+
+    @pytest.mark.kernel_independent
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # (height, width); 129x256 is just over 2^15 pixels, one image a chunk
+        st.one_of(
+            st.tuples(st.integers(3, 40), st.integers(3, 40)),
+            st.sampled_from([(3, 3), (48, 64), (129, 256)]),
+        ),
+        st.sampled_from(["one", "per-1", "per", "per+1"]),
+        st.sampled_from([2, 3, 256]),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @example((48, 64), "per+1", 3, 0, None)
+    @example((225, 300), "per+1", 256, 1, None)
+    def test_rows_match_oracle_around_chunk_boundary(self, shape, count, levels, seed, data):
+        # batches one image short of, at and one past a full chunk; at 2 or
+        # 3 gray levels most neighbor comparisons are ties
+        height, width = shape
+        per = max(1, _CHUNK_PIXELS // (height * width))
+        n = max(1, {"one": 1, "per-1": per - 1, "per": per, "per+1": per + 1}[count])
+        rng = np.random.default_rng(seed)
+        images = [GrayImage(p) for p in rng.integers(0, levels, (n, height, width))]
+        tables = feature_tables(images, self.KINDS, Resolution(width, height))
+        # the oracle is slow, so check the first and last images of every
+        # chunk and of the batch, and a few drawn ones
+        rows = {0, n - 1} | {i for lo in range(per, n, per) for i in (lo - 1, lo)}
+        if data is not None:
+            rows |= set(data.draw(st.lists(st.integers(0, n - 1), max_size=4), label="rows"))
+        for i in sorted(rows):
+            want = feature_reference(images[i], FeatureKind.CONCAT)
+            for kind, block in zip(self.KINDS, (want[:256], want[256:], want)):
+                assert tables[kind][i].tobytes() == block.tobytes()
 
     def test_only_requested_kinds(self):
         data = _tiny_dataset()

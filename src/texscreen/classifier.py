@@ -12,12 +12,9 @@ a fold is optimal once its largest projected gradient is within tolerance
 may fall (is above 0), -g_j where it may rise (is below its bound). A
 held-out variable, bound 0, can do neither and never counts.
 
-The folds are solved in three steps:
+The folds are solved in two steps:
 
-1. One batched check at the box corner. Every fold is set to alpha = u
-   and checked at once. Folds within tolerance there are done; at C=1
-   every fold of the frozen set's sweep tables is.
-2. A warm-started primal active set for the rest (Nocedal & Wright 2006,
+1. A warm-started primal active set (Nocedal & Wright 2006,
    Algorithm 16.3). Each variable is free or held at a bound. The
    minimiser over the free variables F, the bound ones B held, solves
    Q_FF alpha_F = 1 - Q_FB alpha_B. If it lies in the box, alpha moves
@@ -29,22 +26,27 @@ The folds are solved in three steps:
    in lockstep rounds, each making one change of its free set per round;
    a round groups the faces by size k and solves each group's k x k faces
    in one stacked call, which rounds as each fold's own solve would.
-3. The final alpha from the final partition. A fold's alpha_F is the
+   Where the seed stays at its box corner, as at C=1, each fold starts at
+   its own, and a fold optimal there ends at its first check.
+2. The final alpha from the final partition. A fold's alpha_F is the
    solve of its final partition, so its bits depend on that partition
    alone, not on the warm start or on other folds. One more projected-
-   gradient check of these folds sets `converged`.
+   gradient check of every fold sets `converged`.
 
 Q_FF is singular where free rows repeat, are 0 or outnumber the feature
 dimension. Then the solve fails, or returns rounding blown up along the
 null space, a step with (almost) no curvature. The step goes instead along
 the part of -g_F outside the range of Q_FF, a direction of linear descent,
-or, when there is none, along a null vector, to the nearest bound. C
-times each row sum of |Q| bounds every gradient, so features whose bound
-overflows are rejected, and eps times the largest bound, a gradient's
-rounding, joins the tolerance. `max_outer_iterations` caps a fold's KKT
-checks: the corner check, plus one per change of its free set. The
-all-sample solve has the same cap; stopping it early only gives a poorer
-warm start. A fold at the cap keeps its last feasible alpha.
+or, when there is none, along a null vector, to the nearest bound. Its
+sign follows a slope that can be mere rounding, so where it holds a free
+variable at its bound to a 0 step, which can cycle, and its negation does
+not, the step takes the negation. C times each row sum of |Q| bounds every
+gradient, so features whose bound overflows are rejected, and eps times
+the largest bound, a gradient's rounding, joins the tolerance.
+`max_outer_iterations` caps a fold's KKT checks: the first, from the warm
+start, plus one per change of its free set. The all-sample solve has the
+same cap; stopping it early only gives a poorer warm start. A fold at the
+cap keeps its last feasible alpha.
 
 The bias of a fold is recovered from its training margins w.x_j: the mean
 of y_j - w.x_j over free support vectors, which may both fall and rise,
@@ -85,8 +87,9 @@ class SolverConfig:
 
     c: float = 1.0
     # uncapped, folds took at most 10 KKT checks on the benchmark, 20 on synthetic
-    # sets up to n = 200 (any kind, C = 10 to 1e5), 189 (1.08 per sample) on random
-    # overlapping tables at n = 100-200; the most per sample was 1.79, at n = 14
+    # sets up to n = 200 (any kind, C = 10 to 1e5), 189 on random overlapping tables
+    # at n = 100-200 and 22 (1.83 per sample) on 8,849 tables at n = 3-13 and C up
+    # to 1e30; no fold has cycled below C = 1e150, where the cap can still bind
     max_outer_iterations: int = 1000
 
     def __post_init__(self):
@@ -105,8 +108,8 @@ class FoldSolutions:
     alpha: np.ndarray  # (n, n); the diagonal, each fold's held-out alpha, is 0
     margins: np.ndarray  # (n, n): w_f . x_j
     bias: np.ndarray
-    # KKT checks: 1 at the box corner, plus 1 per free-set change; a fold the
-    # warm start solves unchanged also reads 1, so only alpha shows the corner
+    # KKT checks from the warm start: 1, plus 1 per free-set change; 1 does
+    # not mean a fold ended at its box corner, which only alpha shows
     passes: np.ndarray
     # largest projected gradient within the tolerance by the cap on passes
     converged: np.ndarray
@@ -159,25 +162,15 @@ def solve_folds(
     # each fold's bound on each alpha_i: C, or 0 for the sample it holds out
     bounds = np.full((n, n), c)
     np.fill_diagonal(bounds, 0.0)
-    # every fold at its box corner; G = alpha Q one fold at a time, so a fold
-    # rounds alike in any batch
-    alpha = bounds.copy()
+    changes = cfg.max_outer_iterations - 1
+    # the problem on every sample, from alpha = C, seeds each fold
+    seed, seed_free = np.full((1, n), c), np.zeros((1, n), dtype=bool)
+    _active_set(q, seed, np.full((1, n), c), seed_free, changes, tolerance)
+    alpha, free = np.where(bounds > 0.0, seed, 0.0), seed_free & (bounds > 0.0)
+    passes = 1 + _active_set(q, alpha, bounds, free, changes, tolerance)
+    # G = alpha Q one fold at a time, so a fold rounds alike in any batch
     grad = np.matmul(alpha[:, None, :], q)[:, 0, :]
     converged = projected_gradient(grad - 1.0, alpha, bounds) <= tolerance
-    passes = np.ones(n, dtype=np.int64)
-    rest = np.flatnonzero(~converged)
-    if rest.size:
-        changes = cfg.max_outer_iterations - 1
-        # the problem on every sample, from alpha = C, seeds each fold
-        seed, seed_free = np.full((1, n), c), np.zeros((1, n), dtype=bool)
-        _active_set(q, seed, np.full((1, n), c), seed_free, changes, tolerance)
-        upper = bounds[rest]
-        start, free = np.where(upper > 0.0, seed, 0.0), seed_free & (upper > 0.0)
-        passes[rest] += _active_set(q, start, upper, free, changes, tolerance)
-        alpha[rest] = start
-        grad[rest] = np.matmul(alpha[rest, None, :], q)[:, 0, :]
-        violation = projected_gradient(grad[rest] - 1.0, alpha[rest], bounds[rest])
-        converged[rest] = violation <= tolerance
     margins = grad * y
     bias = _bias_from_margins(y, alpha, margins, bounds)
     return FoldSolutions(alpha, margins, bias, passes, converged)
@@ -234,7 +227,10 @@ def _active_set(
                 largest = faces.diagonal(axis1=1, axis2=2).max(axis=1)
                 flat = ~(curvature > _SINGULAR * largest * length)
             for i in np.flatnonzero(flat):
-                direction[i] = _null_direction(faces[i], q[idx[i]] @ alpha[g[i]] - 1.0)
+                d = _null_direction(faces[i], q[idx[i]] @ alpha[g[i]] - 1.0)
+                # > 0 where d leaves the box at once (a 0 step can cycle), < 0 where -d would
+                out = np.sign(d) * ((a[i] == u[i]) * 1.0 - (a[i] == 0.0))
+                direction[i] = -d if (out > 0.0).any() and not (out < 0.0).any() else d
             # move along it until the first free variable meets its bound,
             # which then leaves the free set
             falls, rises = direction < 0.0, direction > 0.0

@@ -8,9 +8,11 @@ exhaustively, and the LOOCV reference trains one fold at a time with the
 per-fold dual solver the batched one replaced. `solve_folds_reference` is
 the batched coordinate-descent pass loop the exact solver replaced: run to
 a tight tolerance it is the exact solver's oracle, and a fold it ends at
-its box corner after one pass the exact solver must match bit for bit.
-`solve_folds_per_fold` is the exact solver with one active set per fold,
-which the lockstep rounds replaced: it must match them bit for bit.
+its box corner after one pass the exact solver must match bit for bit in
+all but its KKT-check count. `solve_folds_per_fold` is the exact solver
+with one active set per fold, which the lockstep rounds replaced: it must
+match them bit for bit. With `corner_first` it first checks every fold at
+its box corner, as an earlier exact solver did.
 `train_on_all` and `report_from_confusion` are no oracles: they call the
 library.
 """
@@ -347,9 +349,11 @@ def solve_folds_reference(features, labels, held_out, cfg=SolverConfig(), tolera
     return FoldSolutions(final_alpha, margins, bias, passes, converged)
 
 
-def solve_folds_per_fold(features, labels, cfg=SolverConfig()):
+def solve_folds_per_fold(features, labels, cfg=SolverConfig(), corner_first=False):
     """`solve_folds` with one active set per fold, run one fold after
-    another from the all-sample seed."""
+    another from the all-sample seed. With `corner_first`, every fold is
+    first checked at its box corner, and only the folds that fail there
+    are warm-started from the seed, as an earlier solver did."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     n = x.shape[0]
@@ -361,22 +365,21 @@ def solve_folds_per_fold(features, labels, cfg=SolverConfig()):
     bounds = np.full((n, n), c)
     np.fill_diagonal(bounds, 0.0)
     alpha = bounds.copy()
+    passes = np.ones(n, dtype=np.int64)
+    rest = np.arange(n)
+    if corner_first:
+        grad = np.matmul(alpha[:, None, :], q)[:, 0, :]
+        rest = np.flatnonzero(stop_value(grad - 1.0, alpha, bounds) > tolerance)
+    changes = cfg.max_outer_iterations - 1
+    seed, seed_free = np.full(n, c), np.zeros(n, dtype=bool)
+    _active_set(q, seed, np.full(n, c), seed_free, changes, tolerance)
+    for f in rest:
+        start, free = seed.copy(), seed_free.copy()
+        start[f], free[f] = 0.0, False
+        passes[f] += _active_set(q, start, bounds[f], free, changes, tolerance)
+        alpha[f] = start
     grad = np.matmul(alpha[:, None, :], q)[:, 0, :]
     converged = stop_value(grad - 1.0, alpha, bounds) <= tolerance
-    passes = np.ones(n, dtype=np.int64)
-    rest = np.flatnonzero(~converged)
-    if rest.size:
-        changes = cfg.max_outer_iterations - 1
-        seed, seed_free = np.full(n, c), np.zeros(n, dtype=bool)
-        _active_set(q, seed, np.full(n, c), seed_free, changes, tolerance)
-        for f in rest:
-            start, free = seed.copy(), seed_free.copy()
-            start[f], free[f] = 0.0, False
-            passes[f] += _active_set(q, start, bounds[f], free, changes, tolerance)
-            alpha[f] = start
-        grad[rest] = np.matmul(alpha[rest, None, :], q)[:, 0, :]
-        violation = stop_value(grad[rest] - 1.0, alpha[rest], bounds[rest])
-        converged[rest] = violation <= tolerance
     margins = grad * y
     bias = fold_bias(y, alpha, margins, bounds)
     return FoldSolutions(alpha, margins, bias, passes, converged)
@@ -411,7 +414,9 @@ def _active_set(
                 with np.errstate(over="ignore"):  # an overflowed step fails `_flat`
                     direction = None if target is None else target - alpha[free]
                 if direction is None or _flat(face, direction):
-                    direction = _null_direction(face, rows @ alpha - 1.0)
+                    direction = _oriented(
+                        _null_direction(face, rows @ alpha - 1.0), alpha[free], upper[free]
+                    )
                 _step_to_bound(alpha, upper, free, direction)
                 used += 1
                 continue
@@ -435,6 +440,14 @@ def _flat(face: np.ndarray, direction: np.ndarray) -> bool:
     with np.errstate(over="ignore", invalid="ignore"):
         curvature = direction @ face @ direction
         return not curvature > _SINGULAR * face.diagonal().max() * (direction @ direction)
+
+
+def _oriented(direction: np.ndarray, a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A null direction, negated when it holds a free variable at its bound
+    `a` == 0 or `a` == `u` to a step of length 0 and its negation does not."""
+    blocked = ((direction < 0.0) & (a == 0.0)) | ((direction > 0.0) & (a == u))
+    unblocked = not (((direction > 0.0) & (a == 0.0)) | ((direction < 0.0) & (a == u))).any()
+    return -direction if blocked.any() and unblocked else direction
 
 
 def _step_to_bound(

@@ -542,6 +542,15 @@ class TestFailurePaths:
         assert run.returncode == EXIT_PROCESSING
         assert run.stderr == "texscreen: out of memory\n"
 
+    def test_memory_error_of_a_command_exits_processing(self, monkeypatch, tmp_path, capsys):
+        # the same handler in-process, raised by a command's own call
+        def exhausted(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "generate_synthetic", exhausted)
+        assert main(["synth", "--out", str(tmp_path)]) == EXIT_PROCESSING
+        assert capsys.readouterr().err == "texscreen: out of memory\n"
+
 
 class TestExtractSizeFloor:
     @pytest.mark.parametrize("kind", ["lbp", "concat"])

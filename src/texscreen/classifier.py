@@ -5,12 +5,12 @@ Fold f holds out sample f. It minimizes the soft-margin dual
 bound u_fj is C, or 0 for j = f, so the bound matrix is C off the diagonal
 and 0 on it. The folds of one table share the signed Gram matrix
 Q = (X X^T) o (y y^T). G = alpha Q is formed one fold at a time, never as
-a 2-D matrix product, whose rounding depends on the batch: G[f, j] =
-y_j (w_f . x_j) is sample j's signed margin under fold f. With g = G - 1,
-a fold is optimal once its largest projected gradient is within tolerance
-(`_TOLERANCE`; `projected_gradient`, Fan et al. 2008): g_j where alpha_j
-may fall (is above 0), -g_j where it may rise (is below its bound). A
-held-out variable, bound 0, can do neither and never counts.
+a 2-D matrix product, whose rows round unlike each fold's own product:
+G[f, j] = y_j (w_f . x_j) is sample j's signed margin under fold f. With
+g = G - 1, a fold is optimal once its largest projected gradient is within
+tolerance (`_TOLERANCE`; `projected_gradient`, Fan et al. 2008): g_j where
+alpha_j may fall (is above 0), -g_j where it may rise (is below its
+bound). A held-out variable, bound 0, can do neither and never counts.
 
 The folds are solved in two steps:
 
@@ -25,13 +25,15 @@ The folds are solved in two steps:
    set to 0 ("alpha seeding", DeCoste & Wagstaff 2000). The folds advance
    in lockstep rounds, each making one change of its free set per round;
    a round groups the faces by size k and solves each group's k x k faces
-   in one stacked call, which rounds as each fold's own solve would.
+   in one stacked call; it rounds as each fold's own solve would, save
+   where products round by their operands' 16-byte alignment (OpenBLAS's
+   Prescott kernel): there some folds' alpha_F differ at odd n, in ulps.
    Where the seed stays at its box corner, as at C=1, each fold starts at
    its own, and a fold optimal there ends at its first check.
 2. The final alpha from the final partition. A fold's alpha_F is the
    solve of its final partition, so its bits depend on that partition
-   alone, not on the warm start or on other folds. One more projected-
-   gradient check of every fold sets `converged`.
+   alone, not on the warm start, save for that alignment. One more
+   projected-gradient check of every fold sets `converged`.
 
 Q_FF is singular where free rows repeat, are 0 or outnumber the feature
 dimension. Then the solve fails, or returns rounding blown up along the
@@ -168,7 +170,7 @@ def solve_folds(
     _active_set(q, seed, np.full((1, n), c), seed_free, changes, tolerance)
     alpha, free = np.where(bounds > 0.0, seed, 0.0), seed_free & (bounds > 0.0)
     passes = 1 + _active_set(q, alpha, bounds, free, changes, tolerance)
-    # G = alpha Q one fold at a time, so a fold rounds alike in any batch
+    # G = alpha Q one fold at a time, so each row rounds as its fold's own product
     grad = np.matmul(alpha[:, None, :], q)[:, 0, :]
     converged = projected_gradient(grad - 1.0, alpha, bounds) <= tolerance
     margins = grad * y

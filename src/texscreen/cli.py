@@ -142,18 +142,19 @@ def build_parser() -> argparse.ArgumentParser:
         "extract",
         parents=[manifest_flags, feature_flags, output_flags],
         help="write one feature line per manifest entry",
-    )
+    ).set_defaults(run=_cmd_extract)
     sub.add_parser(
         "loocv",
         parents=[manifest_flags, feature_flags, solver_flags, output_flags],
         help="leave-one-out evaluation at one resolution",
-    )
+    ).set_defaults(run=_cmd_loocv)
 
     p_sweep = sub.add_parser(
         "sweep",
         parents=[manifest_flags, solver_flags, output_flags],
         help="accuracy of all feature kinds across resolutions",
     )
+    p_sweep.set_defaults(run=_cmd_sweep)
     p_sweep.add_argument(
         "--resolutions",
         type=_resolution_list,
@@ -167,6 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser(
         "synth", help="generate the seeded synthetic benchmark into a directory"
     )
+    p_synth.set_defaults(run=_cmd_synth)
     p_synth.add_argument("--out", type=_path, required=True, help="output directory")
     p_synth.add_argument(
         "--seed", type=_int_range(0, 2**64), default=1, help="64-bit generator seed"
@@ -251,18 +253,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "extract": _cmd_extract,
-    "loocv": _cmd_loocv,
-    "sweep": _cmd_sweep,
-    "synth": _cmd_synth,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except OSError as exc:
         print(f"texscreen: unreadable input: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE

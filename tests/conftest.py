@@ -10,9 +10,9 @@ the batched coordinate-descent pass loop the exact solver replaced: run to
 a tight tolerance it is the exact solver's oracle, and a fold it ends at
 its box corner after one pass the exact solver must match bit for bit in
 all but its KKT-check count. `solve_folds_per_fold` is the exact solver
-with one active set per fold, which the lockstep rounds replaced: it must
-match them bit for bit. With `corner_first` it first checks every fold at
-its box corner, as an earlier exact solver did.
+with one active set per fold, which the lockstep rounds replaced: on any
+BLAS kernel they must match it in every fold's KKT checks and convergence,
+and on one whose products ignore their operands' alignment, in every bit.
 `train_on_all` and `report_from_confusion` are no oracles: they call the
 library.
 """
@@ -349,11 +349,9 @@ def solve_folds_reference(features, labels, held_out, cfg=SolverConfig(), tolera
     return FoldSolutions(final_alpha, margins, bias, passes, converged)
 
 
-def solve_folds_per_fold(features, labels, cfg=SolverConfig(), corner_first=False):
+def solve_folds_per_fold(features, labels, cfg=SolverConfig()):
     """`solve_folds` with one active set per fold, run one fold after
-    another from the all-sample seed. With `corner_first`, every fold is
-    first checked at its box corner, and only the folds that fail there
-    are warm-started from the seed, as an earlier solver did."""
+    another from the all-sample seed."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     n = x.shape[0]
@@ -364,16 +362,12 @@ def solve_folds_per_fold(features, labels, cfg=SolverConfig(), corner_first=Fals
     tolerance = _TOLERANCE + np.finfo(np.float64).eps * scale
     bounds = np.full((n, n), c)
     np.fill_diagonal(bounds, 0.0)
-    alpha = bounds.copy()
+    alpha = np.empty((n, n))
     passes = np.ones(n, dtype=np.int64)
-    rest = np.arange(n)
-    if corner_first:
-        grad = np.matmul(alpha[:, None, :], q)[:, 0, :]
-        rest = np.flatnonzero(stop_value(grad - 1.0, alpha, bounds) > tolerance)
     changes = cfg.max_outer_iterations - 1
     seed, seed_free = np.full(n, c), np.zeros(n, dtype=bool)
     _active_set(q, seed, np.full(n, c), seed_free, changes, tolerance)
-    for f in rest:
+    for f in range(n):
         start, free = seed.copy(), seed_free.copy()
         start[f], free[f] = 0.0, False
         passes[f] += _active_set(q, start, bounds[f], free, changes, tolerance)

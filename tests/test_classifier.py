@@ -153,6 +153,10 @@ def _scaled_tables(draw):
     return x, y, draw(st.floats(-3.0, 308.25).map(lambda e: 10.0**e), label="c")
 
 
+# C log-uniform from 0.01 to 1e4, or one of four round values
+_PENALTIES = st.sampled_from([0.01, 1.0, 10.0, 1e4]) | st.floats(-2.0, 4.0).map(lambda e: 10.0**e)
+
+
 @st.composite
 def _few_valued_tables(draw):
     """Features of few distinct values, so zero and duplicate rows and
@@ -163,9 +167,9 @@ def _few_valued_tables(draw):
     values = st.sampled_from([0.0, 0.5, -1.0, 2.0])
     x = draw(hnp.arrays(np.float64, (n, d), elements=values), label="x")
     y = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n), label="y"))
-    c = st.sampled_from([0.01, 1.0, 10.0, 1e4]) | st.floats(-2.0, 4.0).map(lambda e: 10.0**e)
-    cap = st.sampled_from([1, 2, 1000])
-    return x, y, SolverConfig(c=draw(c, label="c"), max_outer_iterations=draw(cap, label="cap"))
+    c = draw(_PENALTIES, label="c")
+    cap = draw(st.sampled_from([1, 2, 1000]), label="cap")
+    return x, y, SolverConfig(c=c, max_outer_iterations=cap)
 
 
 def _random_problem(rng, n, d):
@@ -175,7 +179,7 @@ def _random_problem(rng, n, d):
     return x, y
 
 
-class TestTrainCsvc:
+class TestTrainOnAll:
     """The C-SVC trained on every sample: the fold that holds out an appended
     zero row."""
 
@@ -193,14 +197,6 @@ class TestTrainCsvc:
         preds = np.where(_decisions(model, XOR_POINTS) >= 0, 1, -1)
         assert (preds == XOR_LABELS).sum() <= 3
 
-    def test_label_negation_negates_decisions(self):
-        rng = np.random.default_rng(67)
-        x = rng.normal(size=(10, 4))
-        y = np.where(np.arange(10) % 3 == 0, 1, -1)
-        pos, neg = solve_folds(x, y), solve_folds(x, -y)
-        assert np.array_equal(pos.passes, neg.passes)
-        assert np.abs(pos.decisions + neg.decisions).max() <= 1e-6
-
     def test_stacked_vectors_build_matrix(self):
         a = np.full(256, 1 / 256)
         b = np.zeros(256)
@@ -213,6 +209,14 @@ class TestTrainCsvc:
 
 
 class TestSolver:
+    def test_label_negation_negates_decisions(self):
+        rng = np.random.default_rng(67)
+        x = rng.normal(size=(10, 4))
+        y = np.where(np.arange(10) % 3 == 0, 1, -1)
+        pos, neg = solve_folds(x, y), solve_folds(x, -y)
+        assert np.array_equal(pos.passes, neg.passes)
+        assert np.abs(pos.decisions + neg.decisions).max() <= 1e-6
+
     def test_alpha_stays_in_box_and_violation_small(self):
         rng = np.random.default_rng(71)
         cfg = SolverConfig()
@@ -298,7 +302,10 @@ class TestSolver:
     def test_fold_independent_of_batch(self, frozen_oracle):
         # a fold's alpha is the solve of its own final partition, so neither
         # the other folds nor the warm start move one bit of it; the fold is
-        # optimal within tolerance and labels as the oracle does
+        # optimal within tolerance and labels as the oracle does. The bit
+        # assertion holds under OPENBLAS_CORETYPE=Prescott for even n, as
+        # here (12 and 40); there, at odd n, some folds' alpha_F differ from
+        # a one-fold solve in their last bits
         rng = np.random.default_rng(103)
         problems = []
         for c in (0.1, 1.0, 10.0):
@@ -384,7 +391,7 @@ class TestSolver:
         assert (got == gradient_violations(gradient, alpha, held_out, c)).all()
 
     @pytest.mark.kernel_independent
-    def test_stop_value_taken_once_per_pass(self, monkeypatch, synthetic_benchmark):
+    def test_stop_value_taken_once_per_solve(self, monkeypatch, synthetic_benchmark):
         # the benchmark cuts its segments at this module-level call: once per
         # solve, over every fold, after the active set; it sets `converged`
         calls = []
@@ -428,7 +435,7 @@ class TestSolver:
         x = data.draw(hnp.arrays(np.float64, (n, d), elements=values), label="x")
         y = np.array(data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
         cfg = SolverConfig(
-            c=data.draw(st.sampled_from([0.01, 0.1, 1.0, 10.0]), label="c"),
+            c=data.draw(_PENALTIES, label="c"),
             max_outer_iterations=data.draw(st.sampled_from([1, 2, 1000]), label="cap"),
         )
         got = solve_folds(x, y, cfg)
@@ -444,7 +451,6 @@ class TestSolver:
             got_rows, want_rows = getattr(got, field)[reached], getattr(want, field)[reached]
             assert got_rows.tobytes() == want_rows.tobytes(), field
 
-    @pytest.mark.kernel_independent
     @settings(max_examples=300, deadline=None)
     @given(_few_valued_tables())
     # one round stacks two 2 x 2 faces, one singular (samples 1 and 2 are
@@ -459,34 +465,34 @@ class TestSolver:
     )
     def test_lockstep_bytes_match_per_fold(self, table):
         # the folds' lockstep rounds make the LAPACK solves and products of
-        # one active set per fold, so they end in the same bits
+        # one active set per fold, so on a kernel whose products ignore the
+        # operands' alignment they end in the same bits. Not
+        # kernel_independent: under OPENBLAS_CORETYPE=Prescott a product
+        # rounds by its operands' 16-byte alignment, which differs between a
+        # stacked face and a one-fold array, and some folds' last bits differ
         x, y, cfg = table
         got, want = solve_folds(x, y, cfg), solve_folds_per_fold(x, y, cfg)
         for field in SOLUTION_FIELDS:
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
+    @pytest.mark.kernel_independent
     @settings(max_examples=300, deadline=None)
     @given(_few_valued_tables())
-    def test_every_fold_from_the_seed_matches_corner_first(self, table):
-        # a fold optimal at its box corner has no other optimum, so at the
-        # default cap the active set from the seed ends it where a check at
-        # the corner would have, byte for byte; only its KKT checks differ.
-        # Not kernel_independent: under OPENBLAS_CORETYPE=Prescott a product
-        # rounds by its operands' 16-byte alignment, which differs between
-        # the oracle's one-fold arrays and the lockstep rounds' stacks
-        x, y, drawn = table
-        cfg = SolverConfig(c=drawn.c)
-        got = solve_folds(x, y, cfg)
-        want = solve_folds_per_fold(x, y, cfg, corner_first=True)
-        for field in ("alpha", "margins", "bias", "converged"):
-            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    def test_lockstep_checks_match_per_fold(self, table):
+        # on any kernel the lockstep rounds take each fold through as many
+        # KKT checks as its own active set does, to the same convergence
+        x, y, cfg = table
+        got, want = solve_folds(x, y, cfg), solve_folds_per_fold(x, y, cfg)
+        assert np.array_equal(got.passes, want.passes)
+        assert np.array_equal(got.converged, want.converged)
 
     @pytest.mark.kernel_independent
     def test_flat_step_never_cycles(self):
         # on the OpenBLAS kernel it was found on, fold 4's null direction held
         # a variable just released at its bound to a step of length 0, and
         # the partition alternated up to the cap; the negated direction
-        # moves, and every fold converges
+        # moves, and every fold converges. This one table's bits match the
+        # oracle under OPENBLAS_CORETYPE=Prescott too
         cfg = SolverConfig(c=1290827936.552107)
         sol = solve_folds(CYCLING_TABLE, CYCLING_LABELS, cfg)
         assert sol.converged.all() and sol.passes.max() <= 7
@@ -642,7 +648,7 @@ class TestPerFoldReference:
             assert ((sol.alpha == 0.0) | (sol.alpha == cfg.c)).all()
 
 
-class TestPredictAndSerialize:
+class TestHeldOutDecisions:
     def test_constant_model(self):
         # zero features give every fold zero weights: its decision is its bias
         x = np.zeros((6, 3))
@@ -663,7 +669,8 @@ class TestPredictAndSerialize:
     @pytest.mark.kernel_independent
     def test_linearity_in_x(self):
         # a fold never reads its held-out row, so scaling that row by 2 scales
-        # only w_f . x_f of fold f, exactly
+        # only w_f . x_f of fold f, exactly; the bit assertions hold under
+        # OPENBLAS_CORETYPE=Prescott for even n, as here (10)
         rng = np.random.default_rng(101)
         x, y = _random_problem(rng, 10, 4)
         base = solve_folds(x, y)

@@ -47,7 +47,9 @@ def test_python_examples_run(capsys):
 def test_flags_match_the_parser():
     # every flag the README names exists, and every flag the CLI has is named
     text = README.read_text(encoding="utf-8")
-    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text)) - {"--no-build-isolation"}
+    # less the flags of pip and pytest
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+    named -= {"--no-build-isolation", "--hypothesis-seed"}
     (commands,) = [
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     ]

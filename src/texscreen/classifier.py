@@ -23,11 +23,14 @@ The folds are solved in two steps:
    then held. The problem on every sample is solved first, from
    alpha = C. Each fold starts from that solution with its held-out alpha
    set to 0 ("alpha seeding", DeCoste & Wagstaff 2000). The folds advance
-   in lockstep rounds, each making one change of its free set per round;
-   a round groups the faces by size k and solves each group's k x k faces
-   in one stacked call; it rounds as each fold's own solve would, save
-   where products round by their operands' 16-byte alignment (OpenBLAS's
-   Prescott kernel): there some folds' alpha_F differ at odd n, in ulps.
+   in lockstep rounds: round r makes every live fold's change r + 1, so all
+   reach the cap in one round. A round groups the folds by free-set size k
+   (one group when all share one) and solves each group's k x k faces in
+   one stacked call. A fold whose face lands in its box moves there and
+   awaits the release test; the others step, or at the cap stop; a fold
+   that ends leaves the live rows. The solves round as each fold's own
+   would, save where products round by their operands' 16-byte alignment
+   (OpenBLAS's Prescott kernel): there some folds' alpha_F differ at odd n.
    Where the seed stays at its box corner, as at C=1, each fold starts at
    its own, and a fold optimal there ends at its first check.
 2. The final alpha from the final partition. A fold's alpha_F is the
@@ -85,7 +88,7 @@ _SINGULAR = 1e-12
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver settings; `max_outer_iterations` caps each fold's KKT checks
-    (`FoldSolutions.passes`), and a numpy integer cap becomes `int`."""
+    (`FoldSolutions.passes`). A numpy integer cap becomes `int`, `c` a float."""
 
     c: float = 1.0
     # uncapped, folds took at most 10 KKT checks on the benchmark, 20 on synthetic
@@ -95,8 +98,9 @@ class SolverConfig:
     max_outer_iterations: int = 1000
 
     def __post_init__(self):
-        if not (math.isfinite(self.c) and self.c > 0):
+        if isinstance(self.c, (bool, np.bool_)) or not (math.isfinite(self.c) and self.c > 0):
             raise ValueError(f"penalty c must be positive and finite, not {self.c!r}")
+        object.__setattr__(self, "c", float(self.c))
         cap = self.max_outer_iterations
         if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
             raise ValueError(f"max_outer_iterations must be positive and an integer, not {cap!r}")
@@ -194,69 +198,78 @@ def _active_set(
     of its free set. Returns the number of changes each row made. A round
     solves the faces of each free-set size in one stacked call.
     """
-    used = np.zeros(len(alpha), dtype=np.int64)
+    used = np.full(len(alpha), changes, dtype=np.int64)
     live = np.ones(len(alpha), dtype=bool)
-    while live.any():
-        rows = np.flatnonzero(live)
-        count = free[rows].sum(axis=1)
-        release = []
-        for k in np.flatnonzero(np.bincount(count)):
-            g = rows[count == k]
-            if k == 0:
-                release.append(g)
-                continue
-            idx = np.nonzero(free[g])[1].reshape(-1, k)
-            faces = q[idx[:, :, None], idx[:, None, :]]
-            rhs = 1.0 - np.matmul(q[idx], np.where(free[g], 0.0, alpha[g])[:, :, None])[:, :, 0]
-            target = _solve(faces, rhs)
-            a, u = alpha[g[:, None], idx], upper[g[:, None], idx]
-            inside = ((target >= 0.0) & (target <= u)).all(axis=1)
-            alpha[g[inside, None], idx[inside]] = target[inside]
-            release.append(g[inside])
-            capped = ~inside & (used[g] == changes)
-            live[g[capped]] = False
-            step = ~(inside | capped)
-            if not step.any():
-                continue
-            g, idx, faces, a, u = g[step], idx[step], faces[step], a[step], u[step]
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflowed step is flat
-                direction = target[step] - a
+    rows = np.arange(len(alpha))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed step is flat
+        for r in range(changes + 1):
+            count = free[rows].sum(axis=1)
+            sizes = np.flatnonzero(np.bincount(count))
+            release = []
+            for k in sizes:
+                g = rows if len(sizes) == 1 else rows[count == k]
+                if k == 0:
+                    release.append(g)
+                    continue
+                fg, ag = free[g], alpha[g]
+                idx = np.nonzero(fg)[1].reshape(-1, k)
+                faces = q[idx[:, :, None], idx[:, None, :]]
+                rhs = 1.0 - np.matmul(q[idx], np.where(fg, 0.0, ag)[:, :, None])[:, :, 0]
+                target = _solve(faces, rhs)
+                a, u = ag[fg].reshape(-1, k), upper[g][fg].reshape(-1, k)
+                inside = ((target >= 0.0) & (target <= u)).all(axis=1)
+                if inside.all():
+                    alpha[g[:, None], idx] = target
+                    release.append(g)
+                    continue
+                if inside.any():
+                    alpha[g[inside, None], idx[inside]] = target[inside]
+                    release.append(g[inside])
+                    g, idx, faces, a, u, target = (v[~inside] for v in (g, idx, faces, a, u, target))
+                if r == changes:  # at the cap a row keeps its last feasible alpha
+                    continue
+                direction = target - a
                 # flat, (almost) no curvature along it: a singular Q_FF's solve
                 # returned rounding blown up along its null space, need not descend
                 row, col = direction[:, None, :], direction[:, :, None]
                 curvature = np.matmul(np.matmul(row, faces), col)[:, 0, 0]
                 length = np.matmul(row, col)[:, 0, 0]
                 largest = faces.diagonal(axis1=1, axis2=2).max(axis=1)
-                flat = ~(curvature > _SINGULAR * largest * length)
-            for i in np.flatnonzero(flat):
-                d = _null_direction(faces[i], q[idx[i]] @ alpha[g[i]] - 1.0)
-                # > 0 where d leaves the box at once (a 0 step can cycle), < 0 where -d would
-                out = np.sign(d) * ((a[i] == u[i]) * 1.0 - (a[i] == 0.0))
-                direction[i] = -d if (out > 0.0).any() and not (out < 0.0).any() else d
-            # move along it until the first free variable meets its bound,
-            # which then leaves the free set
-            falls, rises = direction < 0.0, direction > 0.0
-            ratio = np.full(direction.shape, np.inf)
-            with np.errstate(over="ignore"):
+                for i in np.flatnonzero(~(curvature > _SINGULAR * largest * length)):
+                    d = _null_direction(faces[i], q[idx[i]] @ alpha[g[i]] - 1.0)
+                    # > 0 where d leaves the box at once (a 0 step can cycle), < 0 where -d would
+                    out = np.sign(d) * ((a[i] == u[i]) * 1.0 - (a[i] == 0.0))
+                    direction[i] = -d if (out > 0.0).any() and not (out < 0.0).any() else d
+                # move along it until the first free variable meets its bound,
+                # which then leaves the free set
+                falls, rises = direction < 0.0, direction > 0.0
+                ratio = np.full(direction.shape, np.inf)
                 ratio[falls] = a[falls] / -direction[falls]
                 ratio[rises] = (u[rises] - a[rises]) / direction[rises]
-            at, j = np.arange(len(g)), ratio.argmin(axis=1)
-            a = np.clip(a + ratio[at, j, None] * direction, 0.0, u)
-            a[at, j] = np.where(rises[at, j], u[at, j], 0.0)
-            alpha[g[:, None], idx] = a
-            free[g, idx[at, j]] = False
-            used[g] += 1
-        # at the minimiser over the free variables: release the bound
-        # variable whose gradient points furthest into the box
-        g = np.concatenate(release)
-        grad = np.matmul(alpha[g, None, :], q)[:, 0, :] - 1.0
-        violation = np.maximum(grad * (alpha[g] > 0.0), -grad * (alpha[g] < upper[g]))
-        violation[free[g]] = 0.0
-        j = violation.argmax(axis=1)
-        done = (violation.max(axis=1) <= tolerance) | (used[g] == changes)
-        live[g[done]] = False
-        free[g[~done], j[~done]] = True
-        used[g[~done]] += 1
+                at, j = np.arange(len(g)), ratio.argmin(axis=1)
+                a = (a + ratio[at, j, None] * direction).clip(0.0, u)
+                a[at, j] = np.where(rises[at, j], u[at, j], 0.0)
+                alpha[g[:, None], idx] = a
+                free[g, idx[at, j]] = False
+            if r == changes:  # every row still live ends at the cap
+                break
+            # at the minimiser over the free variables: release the bound
+            # variable whose gradient points furthest into the box
+            if not release:
+                continue
+            g = np.concatenate(release)
+            ag = alpha[g]
+            grad = np.matmul(ag[:, None, :], q)[:, 0, :] - 1.0
+            violation = np.maximum(grad * (ag > 0.0), -grad * (ag < upper[g]))
+            violation[free[g]] = 0.0
+            j = violation.argmax(axis=1)
+            done = violation[np.arange(len(g)), j] <= tolerance
+            if done.any():
+                used[g[done]], live[g[done]] = r, False
+                rows, g, j = np.flatnonzero(live), g[~done], j[~done]
+                if not len(rows):
+                    break
+            free[g, j] = True
     return used
 
 

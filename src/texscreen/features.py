@@ -6,7 +6,8 @@ SE=3, S=2, SW=1, W=0. A bit is set when the neighbor is strictly greater
 than the center; ties set none. Border pixels produce no code, so the code
 matrix is two pixels smaller than the image in each direction. A histogram
 is the 256 bin counts of the codes (LBP) or of the pixels (GRAY), divided
-by their total so it sums to one.
+by their total so it sums to one: (h-2)(w-2) codes or h*w pixels, the same
+for every image of a size, so a table is divided once by that count.
 
 A feature is a plain float64 vector: 256 values for LBP or GRAY, 512 for
 CONCAT (the LBP block, then the GRAY block). The kind is an argument of the
@@ -65,45 +66,40 @@ def lbp_transform(img: GrayImage) -> np.ndarray:
     return codes.reshape(h - 2, w)[:, : w - 2].copy()
 
 
-def _histogram(values: np.ndarray) -> np.ndarray:
-    """256 bin counts of non-empty uint8 `values`, divided by their total."""
-    counts = np.bincount(values.ravel(), minlength=256)
-    return counts / counts.sum()
-
-
-def _lbp_histograms(images: Sequence[GrayImage]) -> list[np.ndarray]:
-    """The LBP histogram of each of the same-size `images` from one
-    `lbp_transform` of their stack, top to bottom: image i's codes are code
-    rows [i*h, i*h + h - 2), as the two rows after them straddle a seam."""
-    if not images:
-        return []
-    h, w = images[0].pixels.shape
-    # checked here as well: a stack of images under 3 rows tall can pass
-    # lbp_transform's check while every one of its code rows straddles a seam
-    if h < 3 or w < 3:
-        raise ValueError("LBP needs an image of at least 3x3 pixels")
-    stack = images[0] if len(images) == 1 else GrayImage(np.vstack([img.pixels for img in images]))
-    codes = lbp_transform(stack)
-    return [_histogram(codes[i * h : i * h + h - 2]) for i in range(len(images))]
-
-
 def extract_feature(images: Sequence[GrayImage], kind: FeatureKind) -> np.ndarray:
     """The (n, d) matrix whose row i is the L1-normalized feature of the
     requested kind of `images[i]`; the images must share one size.
 
     CONCAT juxtaposes the LBP block (columns 0-255) and the GRAY block
     (256-511); each keeps its own normalization, so a row's total mass is
-    two. No images give (0, d).
+    two. Each image's bin counts are written into its row of a block, and
+    the block is divided once by the number of values each row counts:
+    (h-2)(w-2) codes or h*w pixels. No images give (0, d).
     """
     kind = FeatureKind(kind)
     if len({img.pixels.shape for img in images}) > 1:
         raise ValueError("images of one batch must share one size")
-    blocks = []
+    table = np.empty((len(images), 512 if kind is FeatureKind.CONCAT else 256))
+    if not images:
+        return table
+    h, w = images[0].pixels.shape
     if kind is not FeatureKind.GRAY:
-        blocks.append(_lbp_histograms(images))
+        # checked here as well: a stack of images under 3 rows tall can pass
+        # lbp_transform's check while every one of its code rows straddles a seam
+        if h < 3 or w < 3:
+            raise ValueError("LBP needs an image of at least 3x3 pixels")
+        stack = images[0] if len(images) == 1 else GrayImage(np.vstack([img.pixels for img in images]))
+        # one transform of the stack, top to bottom: image i's codes are code
+        # rows [i*h, i*h + h - 2), as the two rows after them straddle a seam
+        codes = lbp_transform(stack)
+        for i, row in enumerate(table[:, :256]):
+            row[:] = np.bincount(codes[i * h : i * h + h - 2].ravel(), minlength=256)
+        table[:, :256] /= (h - 2) * (w - 2)
     if kind is not FeatureKind.LBP:
-        blocks.append([_histogram(img.pixels) for img in images])
-    return np.hstack([np.reshape(b, (len(images), 256)) for b in blocks])
+        for row, img in zip(table[:, -256:], images):
+            row[:] = np.bincount(img.pixels.ravel(), minlength=256)
+        table[:, -256:] /= h * w
+    return table
 
 
 def format_feature(kind: FeatureKind, values: np.ndarray) -> str:

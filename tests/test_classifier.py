@@ -463,6 +463,34 @@ class TestSolver:
             SolverConfig(c=10.0),
         )
     )
+    # in the second round, the cap, folds 0 and 1 are live with one free
+    # variable each: one free-set size, so one group holds every live fold
+    @example(
+        (
+            np.array([[-1.0], [-1.0], [0.0]]),
+            np.array([-1, 1, -1]),
+            SolverConfig(c=10.0, max_outer_iterations=2),
+        )
+    )
+    # in the first round folds 0 and 2 form the group of one free variable,
+    # and both faces land inside their boxes
+    @example(
+        (
+            np.array([[0.5], [2.0], [0.5]]),
+            np.array([-1, 1, -1]),
+            SolverConfig(c=10.0, max_outer_iterations=2),
+        )
+    )
+    # in the first round fold 1 steps while its group siblings 0 and 3 land
+    # inside their boxes; in the second, the cap, fold 3's face leaves its box
+    # and it keeps its alpha, while its sibling fold 0 moves to its face's minimiser
+    @example(
+        (
+            np.array([[0.5, 0.0, -1.0], [-1.0, 0.5, 2.0], [2.0, 0.0, 2.0], [-1.0, -1.0, 2.0]]),
+            np.array([-1, 1, -1, -1]),
+            SolverConfig(c=10.0, max_outer_iterations=2),
+        )
+    )
     def test_lockstep_bytes_match_per_fold(self, table):
         # the folds' lockstep rounds make the LAPACK solves and products of
         # one active set per fold, so on a kernel whose products ignore the
@@ -749,6 +777,8 @@ class TestSolverConfig:
             {"c": float("nan")},
             {"c": float("inf")},
             {"c": np.float64("-inf")},
+            {"c": True},
+            {"c": np.bool_(True)},
             {"max_outer_iterations": 2.5},
             {"max_outer_iterations": 3.0},
             {"max_outer_iterations": True},
@@ -759,7 +789,7 @@ class TestSolverConfig:
         ],
     )
     def test_rejects_non_positive_fields(self, kwargs):
-        # also infinite c, and non-integral or bool pass caps
+        # also infinite or bool c, and non-integral or bool pass caps
         [(name, value)] = kwargs.items()
         name = "penalty c" if name == "c" else name
         message = f"^{name} must be positive and .*, not {re.escape(repr(value))}$"
@@ -772,6 +802,21 @@ class TestSolverConfig:
         assert type(cfg.max_outer_iterations) is int
         assert cfg == SolverConfig(max_outer_iterations=7)
         assert hash(cfg) == hash(SolverConfig(max_outer_iterations=7))
+
+    @pytest.mark.kernel_independent
+    def test_penalty_solves_as_a_float(self, frozen_oracle):
+        # an int c must not seed the all-sample solve in an int64 array, which
+        # truncates its targets (151 KKT checks on this table, not 121), nor a
+        # float32 c run the folds in float32
+        y, oracle = frozen_oracle
+        x = oracle[FeatureKind.CONCAT, 10.0][0]
+        want = solve_folds(x, y, SolverConfig(c=10.0))
+        for c in (10, np.float32(10)):
+            cfg = SolverConfig(c=c)
+            assert type(cfg.c) is float and cfg == SolverConfig(c=10.0)
+            got = solve_folds(x, y, cfg)
+            for field in SOLUTION_FIELDS:
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
     def test_defaults(self):
         cfg = SolverConfig()

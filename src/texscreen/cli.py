@@ -54,7 +54,7 @@ _EXIT_CODE_HELP = """\
 exit codes:
   0  success
   2  invalid usage or flag combination
-  3  unreadable input (missing file, IO failure)
+  3  unreadable input or unwritable output (missing file, IO failure)
   4  invalid data (malformed manifest or image)
   5  processing failure (e.g. a fold with single-class training data, out of memory)
 """
@@ -193,11 +193,18 @@ def _load_dataset(path_text: str, group: str) -> LabeledDataset:
     )
 
 
+class _OutputError(OSError):
+    """An OSError raised while writing the output: `--out` or stdout."""
+
+
 def _write_text(out: str | None, text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+    try:
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _OutputError(exc) from exc
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
@@ -245,11 +252,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec = SyntheticSpec(args.seed, args.per_class, args.width, args.height)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _, dataset = generate_synthetic(spec)
-    for entry in dataset.entries:
-        (out_dir / entry.path).write_bytes(encode_pgm(entry.image))
-    (out_dir / "manifest.csv").write_text(serialize_manifest(dataset), encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for entry in dataset.entries:
+            (out_dir / entry.path).write_bytes(encode_pgm(entry.image))
+        (out_dir / "manifest.csv").write_text(serialize_manifest(dataset), encoding="utf-8")
+    except OSError as exc:
+        raise _OutputError(exc) from exc
     return EXIT_OK
 
 
@@ -258,7 +268,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.run(args)
     except OSError as exc:
-        print(f"texscreen: unreadable input: {exc}", file=sys.stderr)
+        what = "cannot write output" if isinstance(exc, _OutputError) else "unreadable input"
+        print(f"texscreen: {what}: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
     except (ManifestError, PnmDecodeError) as exc:
         print(f"texscreen: invalid data: {exc}", file=sys.stderr)

@@ -191,11 +191,10 @@ def resize_bilinear(img: GrayImage, target: Resolution) -> GrayImage:
     Each value is a sum of products of pixels in [0, 255] and weights in
     [0, 1] that sum to 1, so it lies in [0, 255 + a few ulps]; plus 0.5 it
     is in [0.5, 256), where the `uint8` store's truncation is the floor and
-    no clamp is needed. Resizing to the source resolution returns `img`,
-    the identity. Images of one size share one cached resampling plan per
-    target. Both passes run in blocks of rows small enough that their
-    temporaries come from the heap rather than from fresh, page-faulting
-    memory maps.
+    no clamp is needed. Resizing to the source resolution returns `img`.
+    Images of one size share one cached plan per target. Both passes run
+    in row blocks whose temporaries come from the heap, not from fresh,
+    page-faulting memory maps; they gather with `take` and blend in place.
     """
     src = img.pixels
     h_src, w_src = src.shape
@@ -203,18 +202,20 @@ def resize_bilinear(img: GrayImage, target: Resolution) -> GrayImage:
         return img  # sx = x and fx = 0: every pixel samples itself
     x0, x1, wx0, wx1, y0, y1, wy0, wy1, step = _resize_plan(h_src, w_src, target)
 
-    # separable: interpolate along x once per source row, then blend rows,
-    # rounding each block in place into the uint8 output
+    # separable: interpolate each source row along x, then blend rows, rounding into uint8
     rows = np.empty((h_src, target.width))
     for r in range(0, h_src, step):
-        b = slice(r, r + step)
-        np.multiply(src[b, x0], wx0, out=rows[b])
-        rows[b] += src[b, x1] * wx1
+        b, part = src[r : r + step], rows[r : r + step]
+        np.multiply(b.take(x0, axis=1), wx0, out=part)
+        part += b.take(x1, axis=1) * wx1
     out = np.empty((target.height, target.width), dtype=np.uint8)
     for r in range(0, target.height, step):
         b = slice(r, r + step)
-        values = rows[y0[b]] * wy0[b]
-        values += rows[y1[b]] * wy1[b]
+        values = rows.take(y0[b], axis=0)
+        values *= wy0[b]
+        second = rows.take(y1[b], axis=0)
+        second *= wy1[b]
+        values += second
         values += 0.5
         out[b] = values  # truncates, which is floor on [0.5, 256)
     return GrayImage(out)

@@ -354,6 +354,38 @@ class TestFailurePaths:
         assert code == EXIT_UNREADABLE
         assert "gone" in capsys.readouterr().err
 
+    @staticmethod
+    def _assert_cannot_write(code, err, errno):
+        assert code == EXIT_UNREADABLE
+        assert err.startswith(f"texscreen: cannot write output: [Errno {errno}] ")
+        assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+
+    def test_out_in_missing_directory_exits_unwritable(self, tmp_path, capsys):
+        manifest = _synth(tmp_path) / "manifest.csv"
+        out = tmp_path / "missing" / "x.json"
+        code = main(["loocv", "--manifest", str(manifest), "--out", str(out)])
+        self._assert_cannot_write(code, capsys.readouterr().err, 2)
+
+    def test_out_naming_a_directory_exits_unwritable(self, tmp_path, capsys):
+        manifest = _synth(tmp_path) / "manifest.csv"
+        code = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path)])
+        self._assert_cannot_write(code, capsys.readouterr().err, 21)
+
+    def test_synth_out_naming_a_file_exits_unwritable(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        code = main(["synth", "--out", str(tmp_path / "taken"), "--width", "8", "--height", "8"])
+        self._assert_cannot_write(code, capsys.readouterr().err, 17)
+
+    def test_failed_stdout_write_exits_unwritable(self, tmp_path, capsys, monkeypatch):
+        class FullStream(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        manifest = _synth(tmp_path) / "manifest.csv"
+        monkeypatch.setattr(sys, "stdout", FullStream())
+        code = main(["extract", "--manifest", str(manifest)])
+        self._assert_cannot_write(code, capsys.readouterr().err, 28)
+
     def test_malformed_manifest_exits_invalid_data(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.csv"
         overlong = "a" * 131073  # one past csv.field_size_limit()

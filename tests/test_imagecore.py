@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import PNM_WHITESPACE, pnm_read_token
 from texscreen.imagecore import (
+    _ROW_BLOCK,
     GrayImage,
     PnmDecodeError,
     Resolution,
@@ -312,6 +315,40 @@ class TestResize:
                 out = resize_bilinear(img, target).pixels
                 assert out.dtype == np.uint8
                 assert np.array_equal(out, _resize_four_gathers(img, target)), (h, w, target)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), width=st.integers(2100, 9000))
+    def test_few_row_blocks_match_reference_exactly(self, data, width):
+        # 1 to 3 rows per block at these widths; both passes span at least two
+        # blocks and, unless a block is one row, may end in a partial one
+        step = max(1, _ROW_BLOCK // width)
+        assert 1 <= step <= 3
+
+        def height(most_blocks):
+            return data.draw(st.integers(2, most_blocks)) * step + data.draw(
+                st.integers(0, step - 1)
+            )
+
+        shape = (height(60 // step - 1), data.draw(st.integers(1, 60)))
+        img = GrayImage(data.draw(hnp.arrays(np.uint8, shape)))
+        target = Resolution(width, height(12))
+        out = resize_bilinear(img, target).pixels
+        assert np.array_equal(out, _resize_four_gathers(img, target)), (shape, target)
+
+    @pytest.mark.parametrize("target", [Resolution(300, 225), Resolution(50, 37)])
+    def test_no_whole_image_float_temporaries(self, target):
+        # the x pass's `rows` is the one temporary as tall as the source; the
+        # rest stays within twice the output plus 0.5 MiB of row blocks
+        pixels = np.random.default_rng(9).integers(0, 256, size=(1200, 1600), dtype=np.uint8)
+        img = GrayImage(pixels)
+        tracemalloc.start()
+        try:
+            out = resize_bilinear(img, target).pixels
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = 1200 * target.width * 8
+        assert peak <= rows + 2 * out.nbytes + 2**19, peak - rows - 2 * out.nbytes
 
     def test_plan_key_includes_source_shape(self):
         # two source sizes resized to one target, interleaved: a plan keyed

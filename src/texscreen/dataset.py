@@ -235,25 +235,31 @@ def serialize_manifest(dataset: LabeledDataset) -> str:
 def _box_blur(pixels: np.ndarray, radius: int) -> np.ndarray:
     """Mean over a (2r+1)^2 window clipped to the image, rounded half-up.
 
-    The window is separable: each axis's window sums are differences of its
-    running sums. A mean of pixels lies in [0, 255], so the result is uint8.
+    The window is separable: each axis's window sums add 2r+1 shifted slices
+    of a copy zero-padded by r on both sides, rows first, in int32. A mean of
+    pixels lies in [0, 255], so the result is uint8. int32 holds
+    2*sums + counts while 511 times the clipped window's area stays below
+    2^31, which every radius under 1024 meets.
     """
     h, w = pixels.shape
+    span = 2 * radius + 1
+    padded = np.zeros((h + 2 * radius, w), dtype=np.int32)
+    padded[radius : radius + h] = pixels
+    across = np.zeros((h, w + 2 * radius), dtype=np.int32)
+    columns = across[:, radius : radius + w]  # the column sums, padded by r zeros
+    columns[...] = padded[:h]
+    for k in range(1, span):
+        columns += padded[k : k + h]
+    del padded, columns  # the view would keep `across` alive below
+    sums = across[:, :w].copy()
+    for k in range(1, span):
+        sums += across[:, k : k + w]
+    del across
     y0 = np.maximum(np.arange(h) - radius, 0)
     y1 = np.minimum(np.arange(h) + radius + 1, h)
     x0 = np.maximum(np.arange(w) - radius, 0)
     x1 = np.minimum(np.arange(w) + radius + 1, w)
-    running = np.zeros((h + 1, w), dtype=np.int64)
-    np.cumsum(pixels, axis=0, dtype=np.int64, out=running[1:])
-    columns = np.take(running, y1, axis=0)
-    columns -= np.take(running, y0, axis=0)
-    running = np.zeros((h, w + 1), dtype=np.int64)
-    np.cumsum(columns, axis=1, out=running[:, 1:])
-    del columns
-    sums = np.take(running, x1, axis=1)
-    sums -= np.take(running, x0, axis=1)
-    del running
-    counts = np.multiply.outer(y1 - y0, x1 - x0)
+    counts = (y1 - y0).astype(np.int32)[:, None] * (x1 - x0).astype(np.int32)
     # (2*sums + counts) // (2*counts), in place
     sums *= 2
     sums += counts
@@ -330,7 +336,9 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[list[GrayImage], LabeledDat
     n = spec.width * spec.height
     swaps = np.zeros(n, dtype=np.int32)  # swaps[i]: the cell step i swaps with
     for k in range(spec.per_class):
-        raw = (rng.next_block(n) >> np.uint64(56)).astype(np.uint8)
+        raw = rng.next_block(n)
+        raw >>= np.uint64(56)
+        raw = raw.astype(np.uint8)  # frees the uint64 draw before the blur
         normal_pixels = _box_blur(raw.reshape(spec.height, spec.width), _SMOOTHING_RADIUS)
 
         for top in range(n - 1, 0, -_SHUFFLE_BLOCK):

@@ -103,6 +103,21 @@ def extract_feature(images: Sequence[GrayImage], kind: FeatureKind) -> np.ndarra
 
 
 def format_feature(kind: FeatureKind, values: np.ndarray) -> str:
-    """One-line text form `kind,v0,v1,...` with 17 significant digits."""
+    """One-line text form `kind,v0,v1,...` with 17 significant digits.
+
+    Each distinct value of the row is formatted once and its text joined in
+    for every place it holds (a histogram row repeats its zeros and small
+    counts). A dict keys 0.0 and -0.0 as one value, yet they print as `0`
+    and `-0`, so a row with any sign bit set is formatted value by value.
+    """
+    values = np.asarray(values)
     # Python floats format as numpy's float64 scalars do, in less time
-    return ",".join([FeatureKind(kind).value] + [f"{v:.17g}" for v in np.asarray(values).tolist()])
+    floats = values.tolist()
+    if np.signbit(values).any():
+        cells = [f"{v:.17g}" for v in floats]
+    else:
+        text = dict.fromkeys(floats)
+        for v in text:
+            text[v] = f"{v:.17g}"
+        cells = map(text.__getitem__, floats)
+    return ",".join([FeatureKind(kind).value, *cells])

@@ -275,6 +275,20 @@ class TestExtractAndSerialize:
         rows = [np.array(edges)] + list(counts / counts.sum(axis=1, keepdims=True))
         img = GrayImage(rng.integers(0, 256, (9, 11)))
         rows.append(extract_feature([img], FeatureKind.CONCAT)[0])
+        # rows that repeat values, so each distinct value's text is reused;
+        # 0.0 and -0.0 are one dict key but print as `0` and `-0`, and every
+        # nan is unequal to itself
+        nan, inf, tiny = float("nan"), float("inf"), 5e-324
+        rows += [
+            np.array([0.25, 0.25, 0.0, 0.25, 1 / 3, 0.0, 1 / 3]),
+            np.array([0.0, -0.0]),
+            np.array([-0.0, 0.0, 0.0, -0.0]),
+            np.array([nan, 0.0, nan, -nan, 0.5, nan]),
+            np.array([inf, -inf, inf, 0.0, -inf]),
+            np.array([tiny, 3 * tiny, tiny, -tiny, 2.0**-1023, 2.0**-1023, 0.0]),
+            np.array([0.1, 0.1, 0.0, -0.0, 1 / 3, nan, inf, 1e-45], dtype=np.float32),
+        ]
         for row in rows:
             want = ",".join(["lbp"] + [f"{np.float64(v):.17g}" for v in row])
+            assert want == ",".join(["lbp"] + [f"{v:.17g}" for v in row.tolist()])
             assert format_feature(FeatureKind.LBP, row) == want
